@@ -46,7 +46,7 @@ from .llmclient import (
     generate_validated_plans,
     load_client_config,
 )
-from .metrics import EmptyReferenceError, EvalPair, corpus_rate, edit_rate
+from .metrics import EmptyReferenceError, EvalPair, edit_rate, pool_summaries
 from .rechain import (
     WordInventory,
     batch_plans,
@@ -211,8 +211,9 @@ def cmd_select(args) -> int:
     pwps_state = None
     if k_prime is not None:
         weights = PhonemeWeights.from_json(weights_path)
+        picked = set(gbc_words)
         remainder = CandidatePool(
-            tuple(c for c in pool.words if c.word not in set(gbc_words))
+            tuple(c for c in pool.words if c.word not in picked)
         )
         if len(remainder):
             pwps_state = pwps_select(remainder, k_prime, weights, gbc_state)
@@ -445,13 +446,15 @@ def cmd_eval(args) -> int:
         raise CorpusForgeError(f"{pairs_path}: no evaluation pairs")
 
     per_pair = []
+    summaries = []
     for pair_id, pair in zip(ids, pairs):
         try:
             summary = edit_rate(pair, token_mode)
         except EmptyReferenceError as exc:
             raise EmptyReferenceError(f"pair {pair_id!r}: {exc}") from None
+        summaries.append(summary)
         per_pair.append({"id": pair_id, **summary.to_dict()})
-    pooled = corpus_rate(pairs, token_mode)
+    pooled = pool_summaries(summaries)
 
     report = {"mode": args.mode, "pairs": per_pair, "pooled": pooled.to_dict()}
     _write_json(out_dir / "eval_report.json", report)

@@ -133,20 +133,26 @@ def edit_rate(pair: EvalPair, mode: Mode) -> EditSummary:
     )
 
 
+def pool_summaries(summaries: Sequence[EditSummary]) -> EditSummary:
+    """Pooled summary: edit counts and reference lengths summed over pairs."""
+    if not summaries:
+        raise EmptyReferenceError("no pairs to evaluate")
+    return EditSummary(
+        substitutions=sum(s.substitutions for s in summaries),
+        deletions=sum(s.deletions for s in summaries),
+        insertions=sum(s.insertions for s in summaries),
+        reference_length=sum(s.reference_length for s in summaries),
+    )
+
+
 def corpus_rate(pairs: Sequence[EvalPair], mode: Mode) -> EditSummary:
     """Pooled rate over a corpus: sum of edits over sum of reference lengths."""
-    if not pairs:
-        raise EmptyReferenceError("no pairs to evaluate")
-    subs = dels = ins = ref_len = 0
+    summaries = []
     for index, pair in enumerate(pairs):
         try:
-            summary = edit_rate(pair, mode)
+            summaries.append(edit_rate(pair, mode))
         except EmptyReferenceError:
             raise EmptyReferenceError(
                 f"pair {index} has an empty reference: {pair.reference!r}"
             ) from None
-        subs += summary.substitutions
-        dels += summary.deletions
-        ins += summary.insertions
-        ref_len += summary.reference_length
-    return EditSummary(subs, dels, ins, ref_len)
+    return pool_summaries(summaries)

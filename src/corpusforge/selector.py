@@ -11,12 +11,26 @@ Two greedy selectors work over a candidate pool of phonemized words:
 
 Both are deterministic: candidate pools hold a canonical (lexicographic)
 order and ties always resolve to the first candidate in that order.
+
+Both run as lazy greedy loops (Minoux 1978, "Accelerated greedy algorithms
+for maximizing submodular set functions"): one heap holds every eligible
+candidate keyed by ``(-gain, pool_index)`` with a gain computed at some
+earlier step. The top entry is rescored and taken if its fresh key still
+sorts first, otherwise pushed back. This is exact, not an approximation,
+because a stored gain never understates the current one: a gbc gain only
+shrinks as coverage grows, and each pwps term ``alpha / (count + 1)`` only
+shrinks as counts grow while rounded division and a float sum in a fixed
+order are monotone. A fresh key that sorts before every stored key
+therefore sorts before every fresh key, so the picks, their order and the
+tie-breaks equal those of rescanning every candidate at every step.
+
 :func:`brute_force_max_coverage` is the exponential-time reference used to
 check the greedy coverage quality on small pools.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from collections import Counter
@@ -103,7 +117,9 @@ class PhonemeWeights:
         if not self.weights:
             raise SelectionError("target phoneme set is empty")
         for p, alpha in self.weights.items():
-            if not p or alpha <= 0:
+            # `not alpha > 0` also rejects NaN, which would leave the
+            # selection heap without a consistent order.
+            if not p or not alpha > 0:
                 raise SelectionError(f"weight for {p!r} must be > 0, got {alpha}")
 
     @classmethod
@@ -133,19 +149,18 @@ class SelectionState:
     selected: tuple[CandidateWord, ...]
     covered_biphones: BiphoneSet
     phoneme_counts: dict[Phoneme, int]
-    budget: int
 
     @property
     def selected_words(self) -> list[str]:
         return [c.word for c in self.selected]
 
 
-def _state(selected: list[CandidateWord], budget: int) -> SelectionState:
+def _state(selected: list[CandidateWord]) -> SelectionState:
     covered = frozenset().union(*(c.biphones for c in selected))
     counts: Counter = Counter()
     for cand in selected:
         counts.update(cand.phonemes)
-    return SelectionState(tuple(selected), covered, dict(counts), budget)
+    return SelectionState(tuple(selected), covered, dict(counts))
 
 
 def gbc_select(pool: CandidatePool, k: int) -> SelectionState:
@@ -155,27 +170,32 @@ def gbc_select(pool: CandidatePool, k: int) -> SelectionState:
     covered (ties: first in canonical order) and stops early as soon as no
     remaining candidate introduces any new biphone. Single-phoneme words
     have no biphones and are therefore never picked.
+
+    Lazy greedy: a candidate is rescored only when it reaches the top of
+    the heap, and dropped once its gain is 0, which it then stays, since
+    gains only shrink as coverage grows.
     """
     if not pool.words:
         raise SelectionError("candidate pool is empty")
     if k < 1:
         raise SelectionError(f"budget k must be >= 1, got {k}")
-    remaining = list(pool.words)
+    words = pool.words
+    heap = [(-len(c.biphones), i) for i, c in enumerate(words) if c.biphones]
+    heapq.heapify(heap)
     covered: set = set()
     selected: list[CandidateWord] = []
-    while len(selected) < k and remaining:
-        best = None
-        best_gain = 0
-        for cand in remaining:
-            gain = len(cand.biphones - covered)
-            if gain > best_gain:
-                best, best_gain = cand, gain
-        if best is None:
-            break
-        selected.append(best)
-        remaining.remove(best)
-        covered |= best.biphones
-    return _state(selected, k)
+    while heap and len(selected) < k:
+        _, i = heapq.heappop(heap)
+        gain = len(words[i].biphones - covered)
+        if not gain:
+            continue
+        key = (-gain, i)
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
+        selected.append(words[i])
+        covered |= words[i].biphones
+    return _state(selected)
 
 
 def pwps_score(
@@ -212,6 +232,10 @@ def pwps_select(
     Words whose target-phoneme score is zero become eligible only once all
     positive-score words are exhausted, in canonical order. If `k_prime`
     exceeds the pool, the whole pool is selected.
+
+    Lazy greedy: a candidate is rescored only when it reaches the top of
+    the heap. Zero-score words stay in the heap, so once only they remain
+    the `pool_index` tie-break takes them in canonical order.
     """
     if k_prime < 1:
         raise SelectionError(f"budget k' must be >= 1, got {k_prime}")
@@ -223,23 +247,22 @@ def pwps_select(
             raise SelectionError(
                 f"pool overlaps prior selection: {sorted(overlap)}"
             )
-    remaining = list(pool.words)
+    words = pool.words
     counts: Counter = Counter()
+    # Scores go through the module-level pwps_score, so callers that count
+    # its calls measure the rescoring work.
+    heap = [(-pwps_score(c, weights, counts), i) for i, c in enumerate(words)]
+    heapq.heapify(heap)
     selected: list[CandidateWord] = []
-    while remaining and len(selected) < k_prime:
-        best = None
-        best_score = 0.0
-        for cand in remaining:
-            score = pwps_score(cand, weights, counts)
-            if score > best_score:
-                best, best_score = cand, score
-        if best is None:
-            # Only zero-score words left; fall back to canonical order.
-            best = remaining[0]
-        selected.append(best)
-        remaining.remove(best)
-        counts.update(best.phonemes)
-    return _state(selected, k_prime)
+    while heap and len(selected) < k_prime:
+        _, i = heapq.heappop(heap)
+        key = (-pwps_score(words[i], weights, counts), i)
+        if heap and key > heap[0]:
+            heapq.heappush(heap, key)
+            continue
+        selected.append(words[i])
+        counts.update(words[i].phonemes)
+    return _state(selected)
 
 
 def brute_force_max_coverage(
@@ -337,4 +360,4 @@ def replay_selection(pool: CandidatePool, words: Sequence[str]) -> SelectionStat
             raise SelectionError(f"word not in pool: {word!r}")
         seen.add(word)
         selected.append(by_word[word])
-    return _state(selected, max(len(selected), 1))
+    return _state(selected)

@@ -49,6 +49,31 @@ def random_pool(
     return CandidatePool.build(items)
 
 
+def gbc_oracle_trace(pool: CandidatePool, k: int) -> list[str]:
+    """Replay coverage selection by rescanning every candidate at each step.
+
+    Straight-line evaluation: the first candidate with the strictly largest
+    number of uncovered biphones wins; selection ends at `k` picks or when
+    no candidate adds a biphone.
+    """
+    remaining: list[CandidateWord] = list(pool.words)
+    covered: set = set()
+    trace: list[str] = []
+    while remaining and len(trace) < k:
+        best = None
+        best_gain = 0
+        for cand in remaining:
+            gain = len(cand.biphones - covered)
+            if gain > best_gain:
+                best, best_gain = cand, gain
+        if best is None:
+            break
+        covered |= best.biphones
+        remaining.remove(best)
+        trace.append(best.word)
+    return trace
+
+
 def pwps_oracle_trace(
     pool: CandidatePool, k_prime: int, weights: PhonemeWeights
 ) -> list[str]:

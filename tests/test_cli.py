@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from corpusforge import metrics
 from corpusforge.cli import main
 
 from stubserver import stub_server
@@ -351,6 +352,23 @@ class TestEvalCommand:
         assert report["pairs"][0]["rate"] == 0.0
         assert report["pooled"]["rate"] > 0
         assert json.loads(capsys.readouterr().out)["mode"] == "cer"
+
+    def test_each_pair_aligned_once(self, toy_corpus, tmp_path, monkeypatch):
+        calls = []
+        edit_counts = metrics.edit_counts
+
+        def counting(reference, hypothesis):
+            calls.append(1)
+            return edit_counts(reference, hypothesis)
+
+        monkeypatch.setattr(metrics, "edit_counts", counting)
+        out = tmp_path / "eval"
+        code = run_cli(
+            "eval", "--pairs", toy_corpus / "pairs.jsonl", "--mode", "wer",
+            "--out-dir", out,
+        )
+        assert code == 0
+        assert len(calls) == len(read_json(out / "eval_report.json")["pairs"])
 
     def test_empty_reference_names_pair(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"

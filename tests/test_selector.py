@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusforge.selector import (
     CandidatePool,
@@ -16,7 +18,7 @@ from corpusforge.selector import (
     replay_selection,
 )
 
-from oracles import pwps_oracle_trace, random_pool
+from oracles import gbc_oracle_trace, pwps_oracle_trace, random_pool
 
 
 def pool_of(items):
@@ -129,8 +131,9 @@ class TestPwps:
             PhonemeWeights({})
 
     def test_nonpositive_weight_is_error(self):
-        with pytest.raises(SelectionError):
-            PhonemeWeights({"s": 0.0})
+        for alpha in (0.0, float("nan")):
+            with pytest.raises(SelectionError):
+                PhonemeWeights({"s": alpha})
 
     def test_budget_beyond_pool_selects_all(self):
         pool = pool_of([("a", ("s",)), ("b", ("t",))])
@@ -175,6 +178,45 @@ class TestPwps:
             k_prime = rng.randint(1, len(pool))
             got = pwps_select(pool, k_prime, weights).selected_words
             assert got == pwps_oracle_trace(pool, k_prime, weights)
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Small pools full of ties: few symbols, repeated pronunciations, few
+    distinct weights, targets that leave some words scoring zero, and
+    budgets on both sides of the pool size."""
+    alphabet = "abcde"[: draw(st.integers(2, 5))]
+    pronunciation = st.lists(
+        st.sampled_from(alphabet), min_size=1, max_size=4
+    ).map(tuple)
+    pronunciations = draw(st.lists(pronunciation, min_size=1, max_size=4))
+    n = draw(st.integers(1, 14))
+    pool = pool_of(
+        [(f"w{i:02d}", draw(st.sampled_from(pronunciations))) for i in range(n)]
+    )
+    targets = draw(
+        st.lists(
+            st.sampled_from(alphabet),
+            min_size=1,
+            max_size=len(alphabet) - 1,
+            unique=True,
+        )
+    )
+    weights = PhonemeWeights(
+        {p: draw(st.sampled_from((0.5, 1.0, 2.0))) for p in targets}
+    )
+    budget = st.integers(1, n + 3)
+    return pool, weights, draw(budget), draw(budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_cases())
+def test_selectors_follow_rescanning_oracles_on_ties(case):
+    pool, weights, k, k_prime = case
+    assert gbc_select(pool, k).selected_words == gbc_oracle_trace(pool, k)
+    assert pwps_select(pool, k_prime, weights).selected_words == (
+        pwps_oracle_trace(pool, k_prime, weights)
+    )
 
 
 class TestStateAndReports:
