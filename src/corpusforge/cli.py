@@ -124,6 +124,11 @@ def _input_path(flag_value, config: dict, key: str, required: bool = True) -> Pa
 
 def _int_value(value, name: str, minimum: int | None = None) -> int:
     try:
+        # int() would take a config's 2.9 or true as 2 or 1.
+        if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValueError(value)
         number = int(value)
     except (TypeError, ValueError):
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
@@ -139,11 +144,11 @@ def _out_dir(args, config: dict) -> Path:
     return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+def _write_json(path: Path, payload: dict) -> str:
+    """Write `payload` as indented JSON; return the text without its newline."""
+    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
+    path.write_text(text + "\n", encoding="utf-8")
+    return text
 
 
 def _write_run_manifest(
@@ -253,12 +258,14 @@ def cmd_select(args) -> int:
 def cmd_rechain(args) -> int:
     config = _load_config(args)
     manifest_path = _input_path(args.manifest, config, "manifest_path")
+    m = None if args.m is None else _int_value(args.m, "m", minimum=1)
     out_dir = _out_dir(args, config)
     inventory = WordInventory.from_manifest(load_manifest(manifest_path))
 
     seeds: dict = {}
     inputs: dict[str, Path] = {"manifest": manifest_path}
     rejected: list[tuple[str, list[str]]] = []
+    count = args.count
     if args.mode == "manual":
         sentences_path = _input_path(args.sentences, config, "sentences_path")
         sentences = _read_sentences(sentences_path)
@@ -298,8 +305,8 @@ def cmd_rechain(args) -> int:
         plans = []
         for _ in range(count):
             # Draw order is fixed: length first, then the per-plan seed.
-            m = args.m if args.m is not None else master.randint(3, 8)
-            plans.append(plan_random(inventory, m, master.getrandbits(32)))
+            length = m if m is not None else master.randint(3, 8)
+            plans.append(plan_random(inventory, length, master.getrandbits(32)))
         seeds["rechain"] = seed
 
     write_plans(plans, out_dir / "plans.jsonl")
@@ -317,8 +324,8 @@ def cmd_rechain(args) -> int:
     effective = {
         "mode": args.mode,
         "manifest_path": str(manifest_path),
-        "count": args.count,
-        "m": args.m,
+        "count": count,
+        "m": m,
         "output_dir": str(out_dir),
         **{f"{name}_path": str(p) for name, p in inputs.items() if name != "manifest"},
     }
@@ -331,9 +338,10 @@ def cmd_concat(args) -> int:
     plan_path = _input_path(args.plan, config, "plan_path")
     audio_root = _input_path(args.audio_root, config, "audio_root")
     gap_ms = _resolve(args.gap_ms, config, "gap_ms")
+    fade_ms = _resolve(args.fade_ms, config, "fade_ms")
     spec = ConcatSpec(
-        gap_ms=150 if gap_ms is None else int(gap_ms),
-        fade_ms=args.fade_ms,
+        gap_ms=150 if gap_ms is None else _int_value(gap_ms, "gap_ms"),
+        fade_ms=0 if fade_ms is None else _int_value(fade_ms, "fade_ms"),
     )
     out_dir = _out_dir(args, config)
 
@@ -373,6 +381,8 @@ def cmd_split(args) -> int:
     config = _load_config(args)
     manifest_path = _input_path(args.manifest, config, "manifest_path")
     policy = _resolve(args.policy, config, "policy", required=True)
+    if policy not in POLICIES:
+        raise UsageError(f"policy must be one of {POLICIES}, got {policy!r}")
     ratio = _resolve(args.ratio, config, "train_ratio", required=True)
     seed = args.seed
     if seed is None:
@@ -457,8 +467,7 @@ def cmd_eval(args) -> int:
     pooled = pool_summaries(summaries)
 
     report = {"mode": args.mode, "pairs": per_pair, "pooled": pooled.to_dict()}
-    _write_json(out_dir / "eval_report.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False))
+    print(_write_json(out_dir / "eval_report.json", report))
     effective = {
         "pairs_path": str(pairs_path),
         "mode": args.mode,
@@ -491,8 +500,7 @@ def cmd_report(args) -> int:
     state = replay_selection(pool, ordered)
     report = coverage_report(state).to_dict()
     report["oov_skipped"] = len(skipped)
-    _write_json(out_dir / "coverage_report.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False))
+    print(_write_json(out_dir / "coverage_report.json", report))
     effective = {
         "lexicon_path": str(lexicon_path),
         "words_path": str(words_path),
@@ -544,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", help="plans JSONL from rechain")
     p.add_argument("--audio-root", help="directory holding the word recordings")
     p.add_argument("--gap-ms", type=int, help="inter-word silence (default 150)")
-    p.add_argument("--fade-ms", type=int, default=0, help="per-edge linear fade")
+    p.add_argument("--fade-ms", type=int, help="per-edge linear fade (default 0)")
     p.set_defaults(func=cmd_concat)
 
     p = sub.add_parser("split", parents=[common], help="train/test split a manifest")

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
+import numpy as np
+
 from .errors import CorpusForgeError
 from .textnorm import normalize_text
 
@@ -69,6 +71,12 @@ def normalize(text: str, mode: Mode) -> list[str]:
     raise ValueError(f"mode must be 'word' or 'char', got {mode!r}")
 
 
+# Row width (hypothesis length) from which the numpy table builder beats
+# the pure-Python one; the crossover measured on a 2-vCPU x86 VM lies
+# between 24 and 32 tokens.
+_NUMPY_MIN_WIDTH = 32
+
+
 def edit_counts(
     reference: Sequence[str], hypothesis: Sequence[str]
 ) -> tuple[int, int, int]:
@@ -78,21 +86,78 @@ def edit_counts(
     the minimum; the backtrace prefers substitution over deletion over
     insertion so the decomposition is reproducible. The total is the plain
     Levenshtein distance either way.
+
+    The table has one row per reference token and one column per
+    hypothesis token (the transposed table would turn the tie-break into
+    substitution over insertion over deletion). Rows of at least
+    ``_NUMPY_MIN_WIDTH`` columns are filled with numpy, shorter ones in pure
+    Python; both builders produce the same table and share one backtrace,
+    so the result never depends on which one ran.
+    """
+    if len(hypothesis) >= _NUMPY_MIN_WIDTH:
+        dist = _table_np(reference, hypothesis)
+    else:
+        dist = _table_py(reference, hypothesis)
+    return _backtrace(dist, reference, hypothesis)
+
+
+def _table_py(
+    reference: Sequence[str], hypothesis: Sequence[str]
+) -> list[list[int]]:
+    """Full Levenshtein table as lists, one row per reference token."""
+    prev = list(range(len(hypothesis) + 1))
+    dist = [prev]
+    for i, ref_tok in enumerate(reference, start=1):
+        row = [i]
+        left = i
+        for hyp_tok, diag, up in zip(hypothesis, prev, prev[1:]):
+            # left becomes min(diag + cost, up + 1, left + 1).
+            if ref_tok != hyp_tok:
+                diag += 1
+            if up < left:
+                left = up
+            left += 1
+            if diag < left:
+                left = diag
+            row.append(left)
+        dist.append(row)
+        prev = row
+    return dist
+
+
+def _table_np(reference: Sequence[str], hypothesis: Sequence[str]) -> np.ndarray:
+    """Full Levenshtein table as an int32 array, filled one row at a time.
+
+    The rows are stored offset by ``i + j`` until the end: with
+    ``f[i][j] = dist[i][j] - i - j`` the substitution candidate is
+    ``f[i-1][j-1] + cost - 2``, the deletion candidate ``f[i-1][j]`` and the
+    insertion candidate ``f[i][j-1]``. So each row is two elementwise
+    ufuncs followed by a running minimum, which resolves the whole
+    insertion chain at once. The first row and column of ``f`` are 0, that
+    is ``dist[i][0] = i`` and ``dist[0][j] = j``.
     """
     n, m = len(reference), len(hypothesis)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    for j in range(m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        ref_tok = reference[i - 1]
-        row = dist[i]
-        prev = dist[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if ref_tok == hypothesis[j - 1] else 1
-            row[j] = min(prev[j - 1] + cost, prev[j] + 1, row[j - 1] + 1)
+    ids: dict = {}
+    ref_ids = np.array([ids.setdefault(t, len(ids)) for t in reference], np.int32)
+    hyp_ids = np.array([ids.setdefault(t, len(ids)) for t in hypothesis], np.int32)
+    sub = (ref_ids[:, None] != hyp_ids).astype(np.int32) - 2
+    f = np.zeros((n + 1, m + 1), dtype=np.int32)
+    for diag, up, tail, sub_row, row in zip(
+        f[:-1, :-1], f[:-1, 1:], f[1:, 1:], sub, f[1:]
+    ):
+        np.add(diag, sub_row, out=tail)
+        np.minimum(tail, up, out=tail)
+        np.minimum.accumulate(row, out=row)
+    f += np.arange(n + 1, dtype=np.int32)[:, None]
+    f += np.arange(m + 1, dtype=np.int32)
+    return f
 
+
+def _backtrace(
+    dist, reference: Sequence[str], hypothesis: Sequence[str]
+) -> tuple[int, int, int]:
+    """Walk a full table back from the corner, preferring S > D > I."""
+    n, m = len(reference), len(hypothesis)
     subs = dels = ins = 0
     i, j = n, m
     while i > 0 or j > 0:

@@ -31,6 +31,46 @@ def levenshtein_recursive(ref: Sequence[str], hyp: Sequence[str]) -> int:
     return d(len(ref), len(hyp))
 
 
+def edit_decomposition_oracle(
+    ref: Sequence[str], hyp: Sequence[str]
+) -> tuple[int, int, int]:
+    """(subs, dels, ins) from a textbook full-table DP.
+
+    The table is the plain Wagner-Fischer recurrence. The walk back from
+    the corner takes the first move that explains the cell in the order
+    documented for ``metrics.edit_counts``: diagonal (match or
+    substitution), then up (deletion), then left (insertion).
+    """
+    n, m = len(ref), len(hyp)
+    table = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(m + 1):
+            if i == 0 or j == 0:
+                table[i][j] = i + j
+            else:
+                cost = 0 if ref[i - 1] == hyp[j - 1] else 1
+                table[i][j] = min(
+                    table[i - 1][j - 1] + cost,
+                    table[i - 1][j] + 1,
+                    table[i][j - 1] + 1,
+                )
+    subs = dels = ins = 0
+    i, j = n, m
+    while (i, j) != (0, 0):
+        here = table[i][j]
+        cost = 1 if i and j and ref[i - 1] != hyp[j - 1] else 0
+        if i and j and here == table[i - 1][j - 1] + cost:
+            subs += cost
+            i, j = i - 1, j - 1
+        elif i and here == table[i - 1][j] + 1:
+            dels += 1
+            i -= 1
+        else:
+            ins += 1
+            j -= 1
+    return subs, dels, ins
+
+
 def random_pool(
     rng: random.Random, max_words: int = 12, alphabet_size: int = 5
 ) -> CandidatePool:

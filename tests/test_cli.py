@@ -244,6 +244,55 @@ class TestRechainAndConcat:
         assert len(read_jsonl(out / "plans.jsonl")) == 1
         assert read_jsonl(out / "rejected.jsonl")[0]["missing"] == ["tanzt"]
 
+    def test_random_records_count_from_config(self, toy_corpus, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"plan_count": 2, "seeds": {"rechain": 5}}))
+        out = tmp_path / "plans"
+        assert run_cli(
+            "rechain", "random",
+            "--manifest", toy_corpus / "manifest.csv",
+            "--config", config,
+            "--out-dir", out,
+        ) == 0
+        assert len(read_jsonl(out / "plans.jsonl")) == 2
+        assert read_json(out / "run.json")["config"]["count"] == 2
+
+    def test_llm_records_count_from_config(self, toy_corpus, tmp_path, monkeypatch):
+        monkeypatch.setenv("CORPUSFORGE_LLM_KEY", "k")
+        out = tmp_path / "plans"
+        with stub_server([(200, {"text": "der hund bellt"})]) as srv:
+            llm_config = tmp_path / "llm.json"
+            llm_config.write_text(
+                json.dumps(
+                    {
+                        "endpoint_url": srv.url,
+                        "model_name": "stub",
+                        "prompt_template": "{count} x {words}",
+                    }
+                )
+            )
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"sentence_count": 1}))
+            code = run_cli(
+                "rechain", "llm",
+                "--manifest", toy_corpus / "manifest.csv",
+                "--llm-config", llm_config,
+                "--config", config,
+                "--out-dir", out,
+            )
+        assert code == 0
+        assert read_json(out / "run.json")["config"]["count"] == 1
+
+    def test_zero_plan_length_is_usage_error(self, toy_corpus, tmp_path, capsys):
+        code = run_cli(
+            "rechain", "random",
+            "--manifest", toy_corpus / "manifest.csv",
+            "--count", 2, "--seed", 1, "--m", 0,
+            "--out-dir", tmp_path / "plans",
+        )
+        assert code == 1
+        assert "m must be >= 1" in capsys.readouterr().err
+
     def test_llm_service_failure_exit_code(self, toy_corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("CORPUSFORGE_LLM_KEY", "k")
         monkeypatch.setattr("corpusforge.llmclient.BACKOFF_BASE_S", 0.0)
@@ -291,6 +340,53 @@ class TestRechainAndConcat:
         assert (out / "utt_0000.wav").is_file()
 
 
+    def _manual_plans(self, toy_corpus, tmp_path) -> Path:
+        plans_dir = tmp_path / "plans"
+        assert run_cli(
+            "rechain", "manual",
+            "--manifest", toy_corpus / "manifest.csv",
+            "--sentences", toy_corpus / "sentences.txt",
+            "--out-dir", plans_dir,
+        ) == 0
+        return plans_dir / "plans.jsonl"
+
+    def test_concat_takes_gap_and_fade_from_config(self, toy_corpus, tmp_path):
+        plan = self._manual_plans(toy_corpus, tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"gap_ms": 100, "fade_ms": 7}))
+        out = tmp_path / "wavs"
+        assert run_cli(
+            "concat", "--plan", plan, "--audio-root", toy_corpus / "audio",
+            "--config", config, "--out-dir", out,
+        ) == 0
+        effective = read_json(out / "run.json")["config"]
+        assert (effective["gap_ms"], effective["fade_ms"]) == (100, 7)
+        assert read_jsonl(out / "concat_manifest.jsonl")[0]["num_samples"] == (
+            3 * 4000 + 2 * 1600
+        )
+        # Flags still win over the config.
+        out = tmp_path / "flags"
+        assert run_cli(
+            "concat", "--plan", plan, "--audio-root", toy_corpus / "audio",
+            "--config", config, "--fade-ms", 0, "--out-dir", out,
+        ) == 0
+        assert read_json(out / "run.json")["config"]["fade_ms"] == 0
+
+    @pytest.mark.parametrize("gap", ["wide", 1.5, True, 1e999])
+    def test_non_integer_gap_in_config_is_usage_error(
+        self, toy_corpus, tmp_path, capsys, gap
+    ):
+        plan = self._manual_plans(toy_corpus, tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"gap_ms": gap}))
+        code = run_cli(
+            "concat", "--plan", plan, "--audio-root", toy_corpus / "audio",
+            "--config", config, "--out-dir", tmp_path / "wavs",
+        )
+        assert code == 1
+        assert "gap_ms" in capsys.readouterr().err
+
+
 class TestSplitCommand:
     def test_split_outputs(self, toy_corpus, tmp_path):
         out = tmp_path / "split"
@@ -314,6 +410,18 @@ class TestSplitCommand:
             "--manifest", toy_corpus / "manifest.csv",
             "--policy", "natural",
             "--ratio", 0.7,
+            "--out-dir", tmp_path / "split",
+        )
+        assert code == 1
+
+    def test_unknown_policy_in_config_is_usage_error(self, toy_corpus, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"policy": "bogus"}))
+        code = run_cli(
+            "split",
+            "--manifest", toy_corpus / "manifest.csv",
+            "--config", config,
+            "--ratio", 0.7, "--seed", 42,
             "--out-dir", tmp_path / "split",
         )
         assert code == 1
@@ -351,7 +459,10 @@ class TestEvalCommand:
         assert len(report["pairs"]) == 2
         assert report["pairs"][0]["rate"] == 0.0
         assert report["pooled"]["rate"] > 0
-        assert json.loads(capsys.readouterr().out)["mode"] == "cer"
+        stdout = capsys.readouterr().out
+        assert json.loads(stdout)["mode"] == "cer"
+        # stdout carries exactly the bytes of the report file.
+        assert stdout == (out / "eval_report.json").read_text()
 
     def test_each_pair_aligned_once(self, toy_corpus, tmp_path, monkeypatch):
         calls = []

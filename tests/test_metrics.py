@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusforge import metrics
 from corpusforge.metrics import (
     EmptyReferenceError,
     EvalPair,
@@ -13,7 +14,7 @@ from corpusforge.metrics import (
     normalize,
 )
 
-from oracles import levenshtein_recursive
+from oracles import edit_decomposition_oracle, levenshtein_recursive
 
 
 class TestNormalize:
@@ -112,6 +113,37 @@ def test_edit_counts_match_oracle_and_bounds(ref, hyp):
     total = subs + dels + ins
     assert total == levenshtein_recursive(tuple(ref), tuple(hyp))
     assert total <= max(len(ref), len(hyp))
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    """Token lists of 0-160 over a 2-4 symbol alphabet: many equal-cost paths."""
+    symbols = st.sampled_from("abcd"[: draw(st.integers(2, 4))])
+    ref_len, hyp_len = draw(st.integers(0, 160)), draw(st.integers(0, 160))
+    return (
+        draw(st.lists(symbols, min_size=ref_len, max_size=ref_len)),
+        draw(st.lists(symbols, min_size=hyp_len, max_size=hyp_len)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_pairs())
+def test_decomposition_matches_full_table_oracle(pair):
+    # Lengths straddle the numpy cutoff, so edit_counts takes both paths;
+    # each table builder is also checked on its own, whatever the cutoff.
+    ref, hyp = pair
+    want = edit_decomposition_oracle(ref, hyp)
+    assert edit_counts(ref, hyp) == want
+    for build in (metrics._table_py, metrics._table_np):
+        assert metrics._backtrace(build(ref, hyp), ref, hyp) == want
+
+
+def test_table_builders_agree_cell_for_cell():
+    rng = random.Random(7)
+    for _ in range(50):
+        ref = [rng.choice("ab") for _ in range(rng.randint(0, 70))]
+        hyp = [rng.choice("ab") for _ in range(rng.randint(0, 70))]
+        assert metrics._table_np(ref, hyp).tolist() == metrics._table_py(ref, hyp)
 
 
 @given(st.text(alphabet="abc xyz", max_size=20))
