@@ -40,7 +40,6 @@ from .selector import (
     CoverageReport,
     PhonemeWeights,
     SelectionState,
-    brute_force_max_coverage,
     coverage_report,
     gbc_select,
     pwps_select,
@@ -69,7 +68,6 @@ __all__ = [
     "audit_leakage",
     "batch_plans",
     "biphones",
-    "brute_force_max_coverage",
     "concat",
     "corpus_rate",
     "coverage_report",

@@ -10,11 +10,13 @@ Subcommands cover the whole corpus-personalization workflow::
     corpusforge eval     --pairs pairs.jsonl --mode cer --out-dir out/
     corpusforge report   --lexicon L.tsv --words selected.txt --out-dir out/
 
-Every value can also come from a JSON config (``--config``); flags win.
-Every successful run writes ``run.json`` (tool version, effective config
-and its hash, seeds, input digests) next to its outputs, and identical
-config plus seeds reproduce byte-identical outputs. Exit codes: 0 ok,
-1 usage, 2 data error, 3 external service error.
+Every option is declared once, in :data:`COMMANDS`. The parser takes its
+flags from there, and one resolver checks every value: flag first, then
+the JSON ``--config``, then the default. Every successful run writes
+``run.json`` (tool version, effective config and its hash, seeds, input
+digests) next to its outputs, and identical config plus seeds reproduce
+byte-identical outputs. Exit codes: 0 ok, 1 usage, 2 data error,
+3 external service error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import logging
 import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .audio import ConcatSpec, concat, load_plan_clips, write_wav
@@ -84,42 +87,132 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+class Option(NamedTuple):
+    """One option of a command path.
+
+    `name` is its key in run.json's ``config``, and in the config file
+    unless `key` differs. A ``seeds.<x>`` key is read from the config's
+    ``seeds`` object and recorded in run.json's ``seeds`` as ``x``. Kinds:
+    ``file`` and ``dir`` must exist as such, ``out`` is created once every
+    option has passed; ``int``, ``float`` and ``choice`` are values.
+    """
+
+    flag: str
+    name: str
+    kind: str
+    help: str
+    required: bool = True
+    default: object = None
+    minimum: int | None = None
+    choices: tuple[str, ...] = ()
+    key: str = ""
+    together: str = ""  # an earlier option to be given exactly when this one is
+
+    @property
+    def config_key(self) -> str:
+        return self.key or self.name
 
 
-def _sha256_file(path: Path) -> str:
-    return _sha256_bytes(Path(path).read_bytes())
+LEXICON = Option("--lexicon", "lexicon_path", "file", "pronunciation lexicon TSV")
+MANIFEST = Option("--manifest", "manifest_path", "file", "recording manifest CSV/JSONL")
+OUT_DIR = Option("--out-dir", "output_dir", "out", "directory for outputs and run.json")
+
+# Command path -> (help, options); every path also takes OUT_DIR.
+COMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
+    "select": ("pick recording words", (
+        LEXICON,
+        Option("--corpus", "corpus_path", "file", "candidate words, one per line"),
+        Option("--k", "k", "int", "coverage-stage word budget", minimum=1),
+        Option("--k-prime", "k_prime", "int", "weighted-stage word budget",
+               required=False, minimum=1),
+        Option("--weights", "weights_path", "file", "JSON of target phoneme weights",
+               required=False, together="k_prime"),
+    )),
+    "rechain manual": ("plans from a sentence file", (
+        MANIFEST,
+        Option("--sentences", "sentences_path", "file", "sentences, one per line"),
+    )),
+    "rechain llm": ("plans from a text-generation service", (
+        MANIFEST,
+        Option("--llm-config", "llm_config_path", "file", "client config JSON"),
+        Option("--count", "count", "int", "sentences to request", minimum=1,
+               key="sentence_count"),
+    )),
+    "rechain random": ("seeded random plans", (
+        MANIFEST,
+        Option("--count", "count", "int", "plans to draw", minimum=1, key="plan_count"),
+        Option("--m", "m", "int", "fixed words per plan, else 3..8 drawn per plan",
+               required=False, minimum=1),
+        Option("--seed", "seed", "int", "RNG seed", key="seeds.rechain"),
+    )),
+    "concat": ("render sentence plans to WAV", (
+        Option("--plan", "plan_path", "file", "plans JSONL from rechain"),
+        Option("--audio-root", "audio_root", "dir", "directory of word recordings"),
+        Option("--gap-ms", "gap_ms", "int", "inter-word silence", required=False,
+               default=150, minimum=0),
+        Option("--fade-ms", "fade_ms", "int", "per-edge linear fade", required=False,
+               default=0, minimum=0),
+    )),
+    "split": ("train/test split a manifest", (
+        MANIFEST,
+        Option("--policy", "policy", "choice", "grouping policy", choices=POLICIES),
+        Option("--ratio", "train_ratio", "float", "train entry fraction in (0,1)"),
+        Option("--seed", "seed", "int", "shuffle seed", key="seeds.split"),
+    )),
+    "eval": ("score reference/hypothesis pairs", (
+        Option("--pairs", "pairs_path", "file", "JSONL of id, reference, hypothesis"),
+        Option("--mode", "mode", "choice", "word or character error rate",
+               choices=("wer", "cer")),
+    )),
+    "report": ("coverage stats of a word list", (
+        LEXICON,
+        Option("--words", "words_path", "file", "word list, one per line"),
+    )),
+}
 
 
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
+class _Run:
+    """A command path's checked options, in the form run.json records them."""
+
+    def __init__(self, command: str, config: dict):
+        self.command = command
+        self.config = config
+        self.seeds: dict = {}
+        self.inputs: dict[str, Path] = {}  # file options given
+
+    @property
+    def out_dir(self) -> Path:
+        return Path(self.config[OUT_DIR.name])
+
+
+def _load_config(value) -> dict:
+    if value is None:
         return {}
-    path = Path(args.config)
+    path = Path(value)
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except json.JSONDecodeError as exc:
+            config = json.load(f)
+    except ValueError as exc:  # invalid JSON or not UTF-8
         raise UsageError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        kind = type(config).__name__
+        raise UsageError(f"config {path} must be a JSON object, not {kind}")
+    return config
 
 
-def _resolve(flag_value, config: dict, key: str, required: bool = False):
-    value = flag_value if flag_value is not None else config.get(key)
-    if value is None and required:
-        raise UsageError(f"missing value for {key!r} (flag or config)")
-    return value
-
-
-def _input_path(flag_value, config: dict, key: str, required: bool = True) -> Path | None:
-    value = _resolve(flag_value, config, key, required)
-    if value is None:
-        return None
-    path = Path(value)
-    if not path.exists():
-        raise UsageError(f"{key} does not exist: {path}")
-    return path
+def _config_value(config: dict, key: str):
+    section, _, leaf = key.rpartition(".")
+    if section:
+        config = config.get(section)
+        if config is None:
+            return None
+        if not isinstance(config, dict):
+            raise UsageError(
+                f"config {section!r} must be a JSON object, got {config!r}"
+            )
+    return config.get(leaf)
 
 
 def _int_value(value, name: str, minimum: int | None = None) -> int:
@@ -137,11 +230,60 @@ def _int_value(value, name: str, minimum: int | None = None) -> int:
     return number
 
 
-def _out_dir(args, config: dict) -> Path:
-    value = _resolve(args.out_dir, config, "output_dir", required=True)
+def _checked(opt: Option, value, label: str):
+    """`value` converted to the option's kind; `label` names its source."""
+    if opt.kind == "int":
+        return _int_value(value, label, opt.minimum)
+    if opt.kind == "float":
+        try:
+            # float() would take a config's true as 1.0.
+            if isinstance(value, bool):
+                raise ValueError(value)
+            return float(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"{label} must be a number, got {value!r}") from None
+    if opt.kind == "choice":
+        if value not in opt.choices:
+            raise UsageError(f"{label} must be one of {opt.choices}, got {value!r}")
+        return value
+    if not isinstance(value, str):
+        raise UsageError(f"{label} must be a path, got {value!r}")
     path = Path(value)
-    path.mkdir(parents=True, exist_ok=True)
+    if opt.kind == "file" and not path.is_file():
+        raise UsageError(f"{label} must be an existing file: {path}")
+    if opt.kind == "dir" and not path.is_dir():
+        raise UsageError(f"{label} must be an existing directory: {path}")
     return path
+
+
+def _prepare(args) -> _Run:
+    """Check every option of the command path, then create the out-dir."""
+    config = _load_config(args.config)
+    mode = args.path.partition(" ")[2]
+    # A rechain mode is part of the command path and recorded as `mode`.
+    run = _Run(args.path, {"mode": mode} if mode else {})
+    for opt in (*COMMANDS[args.path][1], OUT_DIR):
+        value, label = getattr(args, opt.name), opt.flag
+        if value is None:
+            value, label = _config_value(config, opt.config_key), opt.config_key
+        if value is None and opt.required:
+            raise UsageError(
+                f"missing value: give {opt.flag} or {opt.config_key!r} in the config"
+            )
+        value = opt.default if value is None else _checked(opt, value, label)
+        if opt.together and (value is None) != (run.config[opt.together] is None):
+            raise UsageError(f"{opt.together} and {opt.name} must be given together")
+        if opt.config_key.startswith("seeds."):
+            run.seeds[opt.config_key.removeprefix("seeds.")] = value
+            continue
+        run.config[opt.name] = str(value) if isinstance(value, Path) else value
+        if opt.kind == "file" and value is not None:
+            run.inputs[opt.name.removesuffix("_path")] = value
+    try:
+        run.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output_dir: {exc}") from None
+    return run
 
 
 def _write_json(path: Path, payload: dict) -> str:
@@ -151,37 +293,30 @@ def _write_json(path: Path, payload: dict) -> str:
     return text
 
 
-def _write_run_manifest(
-    out_dir: Path,
-    command: str,
-    effective: dict,
-    seeds: dict,
-    inputs: dict[str, Path],
-) -> None:
-    canonical = json.dumps(effective, sort_keys=True, ensure_ascii=False)
+def _write_run_manifest(run: _Run) -> None:
+    canonical = json.dumps(run.config, sort_keys=True, ensure_ascii=False)
     _write_json(
-        out_dir / "run.json",
+        run.out_dir / "run.json",
         {
             "tool": "corpusforge",
             "version": __version__,
-            "command": command,
-            "config": effective,
-            "config_sha256": _sha256_bytes(canonical.encode("utf-8")),
-            "seeds": seeds,
-            "input_sha256": {name: _sha256_file(p) for name, p in inputs.items()},
+            "command": run.command,
+            "config": run.config,
+            "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            "seeds": run.seeds,
+            "input_sha256": {
+                name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for name, p in run.inputs.items()
+            },
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         },
     )
 
 
 def _read_word_list(path: Path) -> list[str]:
-    words = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.append(word)
-    return words
+        words = [line.strip() for line in f]
+    return [w for w in words if w and not w.startswith("#")]
 
 
 def _read_sentences(path: Path) -> list[str]:
@@ -190,38 +325,30 @@ def _read_sentences(path: Path) -> list[str]:
 
 
 def cmd_select(args) -> int:
-    config = _load_config(args)
-    lexicon_path = _input_path(args.lexicon, config, "lexicon_path")
-    corpus_path = _input_path(args.corpus, config, "corpus_path")
-    k = _int_value(_resolve(args.k, config, "k", required=True), "k", minimum=1)
-    k_prime = _resolve(args.k_prime, config, "k_prime")
-    if k_prime is not None:
-        k_prime = _int_value(k_prime, "k_prime", minimum=1)
-    weights_path = _input_path(args.weights, config, "weights_path", required=False)
-    if (k_prime is None) != (weights_path is None):
-        raise UsageError("k_prime and weights must be given together")
-    out_dir = _out_dir(args, config)
-
-    lexicon = load_lexicon(lexicon_path)
-    corpus_words = _read_word_list(corpus_path)
+    run = _prepare(args)
+    out_dir = run.out_dir
+    lexicon = load_lexicon(run.inputs["lexicon"])
+    corpus_words = _read_word_list(run.inputs["corpus"])
     pool, skipped = pool_from_lexicon(corpus_words, lexicon)
     if not len(pool):
         raise CorpusForgeError("every corpus word is missing from the lexicon")
     if skipped:
         logger.warning("%d corpus word(s) not in the lexicon, skipped", len(skipped))
 
-    gbc_state = gbc_select(pool, k)
+    gbc_state = gbc_select(pool, run.config["k"])
     gbc_words = gbc_state.selected_words
     pwps_words: list[str] = []
     pwps_state = None
-    if k_prime is not None:
-        weights = PhonemeWeights.from_json(weights_path)
+    if run.config["k_prime"] is not None:
+        weights = PhonemeWeights.from_json(run.inputs["weights"])
         picked = set(gbc_words)
         remainder = CandidatePool(
             tuple(c for c in pool.words if c.word not in picked)
         )
         if len(remainder):
-            pwps_state = pwps_select(remainder, k_prime, weights, gbc_state)
+            pwps_state = pwps_select(
+                remainder, run.config["k_prime"], weights, gbc_state
+            )
             pwps_words = pwps_state.selected_words
 
     (out_dir / "selected_gbc.txt").write_text(
@@ -240,112 +367,57 @@ def cmd_select(args) -> int:
             "oov_skipped": len(skipped),
         },
     )
-    effective = {
-        "lexicon_path": str(lexicon_path),
-        "corpus_path": str(corpus_path),
-        "k": k,
-        "k_prime": k_prime,
-        "weights_path": None if weights_path is None else str(weights_path),
-        "output_dir": str(out_dir),
-    }
-    inputs = {"lexicon": lexicon_path, "corpus": corpus_path}
-    if weights_path is not None:
-        inputs["weights"] = weights_path
-    _write_run_manifest(out_dir, "select", effective, {}, inputs)
+    _write_run_manifest(run)
     return EXIT_OK
 
 
 def cmd_rechain(args) -> int:
-    config = _load_config(args)
-    manifest_path = _input_path(args.manifest, config, "manifest_path")
-    m = None if args.m is None else _int_value(args.m, "m", minimum=1)
-    out_dir = _out_dir(args, config)
-    inventory = WordInventory.from_manifest(load_manifest(manifest_path))
+    run = _prepare(args)
+    out_dir = run.out_dir
+    inventory = WordInventory.from_manifest(load_manifest(run.inputs["manifest"]))
 
-    seeds: dict = {}
-    inputs: dict[str, Path] = {"manifest": manifest_path}
     rejected: list[tuple[str, list[str]]] = []
-    count = args.count
     if args.mode == "manual":
-        sentences_path = _input_path(args.sentences, config, "sentences_path")
-        sentences = _read_sentences(sentences_path)
+        sentences = _read_sentences(run.inputs["sentences"])
         plans, rejected = batch_plans(sentences, inventory, provenance="manual")
-        inputs["sentences"] = sentences_path
     elif args.mode == "llm":
-        llm_config_path = _input_path(args.llm_config, config, "llm_config_path")
-        llm_config = load_client_config(llm_config_path)
-        count = _int_value(
-            _resolve(args.count, config, "sentence_count", required=True),
-            "count",
-            minimum=1,
-        )
+        llm_config = load_client_config(run.inputs["llm_config"])
         request = GenerationRequest(
             inventory_words=tuple(inventory.items),
-            sentence_count=count,
+            sentence_count=run.config["count"],
             prompt_template=llm_config["prompt_template"],
             endpoint_url=llm_config["endpoint_url"],
             model_name=llm_config["model_name"],
             response_text_path=llm_config.get("response_text_path", "text"),
         )
         plans, rejected = generate_validated_plans(request, inventory)
-        inputs["llm_config"] = llm_config_path
     else:  # random
-        seed = args.seed
-        if seed is None:
-            seed = (config.get("seeds") or {}).get("rechain")
-        if seed is None:
-            raise UsageError("random rechain requires --seed (no wall-clock default)")
-        seed = _int_value(seed, "seed")
-        count = _int_value(
-            _resolve(args.count, config, "plan_count", required=True),
-            "count",
-            minimum=1,
-        )
-        master = random.Random(seed)
+        m = run.config["m"]
+        master = random.Random(run.seeds["rechain"])
         plans = []
-        for _ in range(count):
+        for _ in range(run.config["count"]):
             # Draw order is fixed: length first, then the per-plan seed.
             length = m if m is not None else master.randint(3, 8)
             plans.append(plan_random(inventory, length, master.getrandbits(32)))
-        seeds["rechain"] = seed
 
     write_plans(plans, out_dir / "plans.jsonl")
     with open(out_dir / "rejected.jsonl", "w", encoding="utf-8") as f:
         for sentence, missing in rejected:
-            f.write(
-                json.dumps(
-                    {"sentence": sentence, "missing": missing}, ensure_ascii=False
-                )
-                + "\n"
-            )
+            record = {"sentence": sentence, "missing": missing}
+            f.write(json.dumps(record, ensure_ascii=False) + "\n")
     if rejected:
         logger.warning("%d sentence(s) rejected, see rejected.jsonl", len(rejected))
-
-    effective = {
-        "mode": args.mode,
-        "manifest_path": str(manifest_path),
-        "count": count,
-        "m": m,
-        "output_dir": str(out_dir),
-        **{f"{name}_path": str(p) for name, p in inputs.items() if name != "manifest"},
-    }
-    _write_run_manifest(out_dir, f"rechain {args.mode}", effective, seeds, inputs)
+    _write_run_manifest(run)
     return EXIT_OK
 
 
 def cmd_concat(args) -> int:
-    config = _load_config(args)
-    plan_path = _input_path(args.plan, config, "plan_path")
-    audio_root = _input_path(args.audio_root, config, "audio_root")
-    gap_ms = _resolve(args.gap_ms, config, "gap_ms")
-    fade_ms = _resolve(args.fade_ms, config, "fade_ms")
-    spec = ConcatSpec(
-        gap_ms=150 if gap_ms is None else _int_value(gap_ms, "gap_ms"),
-        fade_ms=0 if fade_ms is None else _int_value(fade_ms, "fade_ms"),
-    )
-    out_dir = _out_dir(args, config)
+    run = _prepare(args)
+    out_dir = run.out_dir
+    spec = ConcatSpec(gap_ms=run.config["gap_ms"], fade_ms=run.config["fade_ms"])
+    audio_root = Path(run.config["audio_root"])
 
-    plans = read_plans(plan_path)
+    plans = read_plans(run.inputs["plan"])
     records = []
     for index, plan in enumerate(plans):
         clip = concat(load_plan_clips(plan, audio_root), spec)
@@ -365,43 +437,20 @@ def cmd_concat(args) -> int:
     with open(out_dir / "concat_manifest.jsonl", "w", encoding="utf-8") as f:
         for record in records:
             f.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-    effective = {
-        "plan_path": str(plan_path),
-        "audio_root": str(audio_root),
-        "gap_ms": spec.gap_ms,
-        "fade_ms": spec.fade_ms,
-        "output_dir": str(out_dir),
-    }
-    _write_run_manifest(out_dir, "concat", effective, {}, {"plan": plan_path})
+    _write_run_manifest(run)
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
-    config = _load_config(args)
-    manifest_path = _input_path(args.manifest, config, "manifest_path")
-    policy = _resolve(args.policy, config, "policy", required=True)
-    if policy not in POLICIES:
-        raise UsageError(f"policy must be one of {POLICIES}, got {policy!r}")
-    ratio = _resolve(args.ratio, config, "train_ratio", required=True)
-    seed = args.seed
-    if seed is None:
-        seed = (config.get("seeds") or {}).get("split")
-    if seed is None:
-        raise UsageError("split requires --seed (no wall-clock default)")
-    seed = _int_value(seed, "seed")
-    try:
-        ratio = float(ratio)
-    except (TypeError, ValueError):
-        raise UsageError(f"ratio must be a number, got {ratio!r}") from None
-    out_dir = _out_dir(args, config)
-
-    manifest = load_manifest(manifest_path)
-    assignment = split(manifest, policy, ratio, seed)
+    run = _prepare(args)
+    manifest = load_manifest(run.inputs["manifest"])
+    assignment = split(
+        manifest, run.config["policy"], run.config["train_ratio"], run.seeds["split"]
+    )
     audit = audit_leakage(manifest, assignment)
-    write_assignment(assignment, out_dir / "split_assignment.jsonl")
+    write_assignment(assignment, run.out_dir / "split_assignment.jsonl")
     _write_json(
-        out_dir / "split_audit.json",
+        run.out_dir / "split_audit.json",
         {
             "seed": assignment.seed,
             "train_ratio": assignment.train_ratio,
@@ -409,27 +458,15 @@ def cmd_split(args) -> int:
             "group_sides": assignment.group_key_audit,
         },
     )
-    effective = {
-        "manifest_path": str(manifest_path),
-        "policy": policy,
-        "train_ratio": ratio,
-        "output_dir": str(out_dir),
-    }
-    _write_run_manifest(
-        out_dir, "split", effective, {"split": seed}, {"manifest": manifest_path}
-    )
+    _write_run_manifest(run)
     return EXIT_OK
 
 
-def _mode_tokens(mode: str) -> str:
-    return {"wer": "word", "cer": "char"}[mode]
-
-
 def cmd_eval(args) -> int:
-    config = _load_config(args)
-    pairs_path = _input_path(args.pairs, config, "pairs_path")
-    out_dir = _out_dir(args, config)
-    token_mode = _mode_tokens(args.mode)
+    run = _prepare(args)
+    pairs_path = run.inputs["pairs"]
+    mode = run.config["mode"]
+    token_mode = {"wer": "word", "cer": "char"}[mode]
 
     ids: list[str] = []
     pairs: list[EvalPair] = []
@@ -466,25 +503,16 @@ def cmd_eval(args) -> int:
         per_pair.append({"id": pair_id, **summary.to_dict()})
     pooled = pool_summaries(summaries)
 
-    report = {"mode": args.mode, "pairs": per_pair, "pooled": pooled.to_dict()}
-    print(_write_json(out_dir / "eval_report.json", report))
-    effective = {
-        "pairs_path": str(pairs_path),
-        "mode": args.mode,
-        "output_dir": str(out_dir),
-    }
-    _write_run_manifest(out_dir, "eval", effective, {}, {"pairs": pairs_path})
+    report = {"mode": mode, "pairs": per_pair, "pooled": pooled.to_dict()}
+    print(_write_json(run.out_dir / "eval_report.json", report))
+    _write_run_manifest(run)
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    config = _load_config(args)
-    lexicon_path = _input_path(args.lexicon, config, "lexicon_path")
-    words_path = _input_path(args.words, config, "words_path")
-    out_dir = _out_dir(args, config)
-
-    lexicon = load_lexicon(lexicon_path)
-    words = _read_word_list(words_path)
+    run = _prepare(args)
+    lexicon = load_lexicon(run.inputs["lexicon"])
+    words = _read_word_list(run.inputs["words"])
     pool, skipped = pool_from_lexicon(words, lexicon)
     if not len(pool):
         raise CorpusForgeError("every listed word is missing from the lexicon")
@@ -500,19 +528,8 @@ def cmd_report(args) -> int:
     state = replay_selection(pool, ordered)
     report = coverage_report(state).to_dict()
     report["oov_skipped"] = len(skipped)
-    print(_write_json(out_dir / "coverage_report.json", report))
-    effective = {
-        "lexicon_path": str(lexicon_path),
-        "words_path": str(words_path),
-        "output_dir": str(out_dir),
-    }
-    _write_run_manifest(
-        out_dir,
-        "report",
-        effective,
-        {},
-        {"lexicon": lexicon_path, "words": words_path},
-    )
+    print(_write_json(run.out_dir / "coverage_report.json", report))
+    _write_run_manifest(run)
     return EXIT_OK
 
 
@@ -521,56 +538,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"corpusforge {__version__}"
     )
+
+    def add(p: argparse.ArgumentParser, opt: Option) -> None:
+        default = "" if opt.default is None else f", default {opt.default}"
+        p.add_argument(
+            opt.flag,
+            dest=opt.name,
+            choices=opt.choices or None,
+            help=f"{opt.help} (config: {opt.config_key}{default})",
+        )
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config supplying default values")
-    common.add_argument("--out-dir", help="directory for outputs and run.json")
+    add(common, OUT_DIR)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("select", parents=[common], help="pick recording words")
-    p.add_argument("--lexicon", help="pronunciation lexicon TSV")
-    p.add_argument("--corpus", help="candidate word list, one word per line")
-    p.add_argument("--k", type=int, help="coverage-stage word budget")
-    p.add_argument("--k-prime", type=int, help="weighted-stage word budget")
-    p.add_argument("--weights", help="JSON of target phoneme weights")
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser(
-        "rechain", parents=[common], help="build sentence plans from recorded words"
-    )
-    p.add_argument("mode", choices=("manual", "llm", "random"))
-    p.add_argument("--manifest", help="recording manifest CSV/JSONL")
-    p.add_argument("--sentences", help="manual mode: sentence file, one per line")
-    p.add_argument("--llm-config", help="llm mode: client config JSON")
-    p.add_argument("--count", type=int, help="number of sentences/plans to produce")
-    p.add_argument("--m", type=int, help="random mode: fixed words per plan")
-    p.add_argument("--seed", type=int, help="random mode: RNG seed (required)")
-    p.set_defaults(func=cmd_rechain)
-
-    p = sub.add_parser(
-        "concat", parents=[common], help="render sentence plans to WAV"
-    )
-    p.add_argument("--plan", help="plans JSONL from rechain")
-    p.add_argument("--audio-root", help="directory holding the word recordings")
-    p.add_argument("--gap-ms", type=int, help="inter-word silence (default 150)")
-    p.add_argument("--fade-ms", type=int, help="per-edge linear fade (default 0)")
-    p.set_defaults(func=cmd_concat)
-
-    p = sub.add_parser("split", parents=[common], help="train/test split a manifest")
-    p.add_argument("--manifest", help="recording manifest CSV/JSONL")
-    p.add_argument("--policy", choices=POLICIES)
-    p.add_argument("--ratio", type=float, help="train entry fraction in (0,1)")
-    p.add_argument("--seed", type=int, help="shuffle seed (required)")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("eval", parents=[common], help="score reference/hypothesis pairs")
-    p.add_argument("--pairs", help="JSONL with id, reference, hypothesis")
-    p.add_argument("--mode", choices=("wer", "cer"), required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", parents=[common], help="coverage stats of a word list")
-    p.add_argument("--lexicon", help="pronunciation lexicon TSV")
-    p.add_argument("--words", help="word list file, one per line")
-    p.set_defaults(func=cmd_report)
+    modes = None
+    for path, (help_text, options) in COMMANDS.items():
+        command, _, mode = path.partition(" ")
+        if not mode:
+            p = sub.add_parser(command, parents=[common], help=help_text)
+        else:
+            if modes is None:
+                modes = sub.add_parser(
+                    command, help="build sentence plans from recorded words"
+                ).add_subparsers(dest="mode", required=True)
+            p = modes.add_parser(mode, parents=[common], help=help_text)
+        for opt in options:
+            add(p, opt)
+        # cmd_<command> is looked up per parser, so a wrapper set on the
+        # module attribute is what runs.
+        p.set_defaults(func=globals()[f"cmd_{command}"], path=path)
     return parser
 
 

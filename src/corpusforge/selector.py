@@ -23,15 +23,11 @@ shrinks as counts grow while rounded division and a float sum in a fixed
 order are monotone. A fresh key that sorts before every stored key
 therefore sorts before every fresh key, so the picks, their order and the
 tie-breaks equal those of rescanning every candidate at every step.
-
-:func:`brute_force_max_coverage` is the exponential-time reference used to
-check the greedy coverage quality on small pools.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -239,8 +235,6 @@ def pwps_select(
     """
     if k_prime < 1:
         raise SelectionError(f"budget k' must be >= 1, got {k_prime}")
-    if not weights.weights:
-        raise SelectionError("target phoneme set is empty")
     if prior is not None:
         overlap = {c.word for c in prior.selected} & {c.word for c in pool.words}
         if overlap:
@@ -263,45 +257,6 @@ def pwps_select(
         selected.append(words[i])
         counts.update(words[i].phonemes)
     return _state(selected)
-
-
-def brute_force_max_coverage(
-    pool: CandidatePool, k: int
-) -> tuple[tuple[str, ...], int]:
-    """Exhaustive maximum-coverage reference for small pools (<= 20 words).
-
-    Returns the subset of size <= k with the largest biphone union and its
-    coverage; ties go to the lexicographically smallest index subset in
-    canonical pool order. Exponential in the pool size, test use only.
-    """
-    n = len(pool.words)
-    if n == 0:
-        raise SelectionError("candidate pool is empty")
-    if n > 20:
-        raise SelectionError(f"brute force limited to 20 words, got {n}")
-    if k < 1:
-        raise SelectionError(f"budget k must be >= 1, got {k}")
-    universe: dict = {}
-    for cand in pool.words:
-        for bp in sorted(cand.biphones):
-            universe.setdefault(bp, len(universe))
-    masks = []
-    for cand in pool.words:
-        m = 0
-        for bp in cand.biphones:
-            m |= 1 << universe[bp]
-        masks.append(m)
-    best_idx: tuple[int, ...] = ()
-    best_cov = 0
-    for r in range(1, min(k, n) + 1):
-        for combo in itertools.combinations(range(n), r):
-            m = 0
-            for i in combo:
-                m |= masks[i]
-            cov = bin(m).count("1")
-            if cov > best_cov or (cov == best_cov and combo < best_idx):
-                best_idx, best_cov = combo, cov
-    return tuple(pool.words[i].word for i in best_idx), best_cov
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,25 @@
 
 Everything here deliberately avoids the production code paths: the edit
 distance follows the textbook recursion, the weighted-selection oracle
-recomputes scores from scratch at every step, and the pool generator only
-uses the public constructors.
+recomputes scores from scratch at every step, the maximum-coverage
+reference tries every subset, and the pool generator only uses the public
+constructors.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
-from corpusforge.selector import CandidatePool, CandidateWord, PhonemeWeights
+from corpusforge.selector import (
+    CandidatePool,
+    CandidateWord,
+    PhonemeWeights,
+    SelectionError,
+)
 
 
 def levenshtein_recursive(ref: Sequence[str], hyp: Sequence[str]) -> int:
@@ -143,3 +150,42 @@ def pwps_oracle_trace(
         remaining.remove(best)
         trace.append(best.word)
     return trace
+
+
+def brute_force_max_coverage(
+    pool: CandidatePool, k: int
+) -> tuple[tuple[str, ...], int]:
+    """Exhaustive maximum-coverage reference for small pools (<= 20 words).
+
+    Returns the subset of size <= k with the largest biphone union and its
+    coverage; ties go to the lexicographically smallest index subset in
+    canonical pool order. Exponential in the pool size.
+    """
+    n = len(pool.words)
+    if n == 0:
+        raise SelectionError("candidate pool is empty")
+    if n > 20:
+        raise SelectionError(f"brute force limited to 20 words, got {n}")
+    if k < 1:
+        raise SelectionError(f"budget k must be >= 1, got {k}")
+    universe: dict = {}
+    for cand in pool.words:
+        for bp in sorted(cand.biphones):
+            universe.setdefault(bp, len(universe))
+    masks = []
+    for cand in pool.words:
+        m = 0
+        for bp in cand.biphones:
+            m |= 1 << universe[bp]
+        masks.append(m)
+    best_idx: tuple[int, ...] = ()
+    best_cov = 0
+    for r in range(1, min(k, n) + 1):
+        for combo in itertools.combinations(range(n), r):
+            m = 0
+            for i in combo:
+                m |= masks[i]
+            cov = bin(m).count("1")
+            if cov > best_cov or (cov == best_cov and combo < best_idx):
+                best_idx, best_cov = combo, cov
+    return tuple(pool.words[i].word for i in best_idx), best_cov

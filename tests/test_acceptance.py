@@ -23,7 +23,6 @@ from corpusforge.rechain import WordInventory, plan_random
 from corpusforge.selector import (
     CandidatePool,
     PhonemeWeights,
-    brute_force_max_coverage,
     coverage_report,
     gbc_select,
     pwps_select,
@@ -31,7 +30,12 @@ from corpusforge.selector import (
 )
 
 from conftest import tone_clip
-from oracles import levenshtein_recursive, pwps_oracle_trace, random_pool
+from oracles import (
+    brute_force_max_coverage,
+    levenshtein_recursive,
+    pwps_oracle_trace,
+    random_pool,
+)
 from stubserver import stub_server
 from test_dataset import random_manifest
 from test_llmclient import make_request

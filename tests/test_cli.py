@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from corpusforge import metrics
-from corpusforge.cli import main
+from corpusforge.cli import COMMANDS, OUT_DIR, main
 
 from stubserver import stub_server
 
@@ -293,6 +293,36 @@ class TestRechainAndConcat:
         assert code == 1
         assert "m must be >= 1" in capsys.readouterr().err
 
+    def test_random_takes_m_from_config(self, toy_corpus, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            json.dumps({"m": 2, "plan_count": 3, "seeds": {"rechain": 5}})
+        )
+        out = tmp_path / "plans"
+        assert run_cli(
+            "rechain", "random",
+            "--manifest", toy_corpus / "manifest.csv",
+            "--config", config,
+            "--out-dir", out,
+        ) == 0
+        assert [len(p["words"]) for p in read_jsonl(out / "plans.jsonl")] == [2, 2, 2]
+        assert read_json(out / "run.json")["config"]["m"] == 2
+
+    def test_manual_records_only_its_own_options(self, toy_corpus, tmp_path):
+        argv = [
+            "rechain", "manual",
+            "--manifest", toy_corpus / "manifest.csv",
+            "--sentences", toy_corpus / "sentences.txt",
+        ]
+        out = tmp_path / "plans"
+        assert run_cli(*argv, "--out-dir", out) == 0
+        assert set(read_json(out / "run.json")["config"]) == {
+            "mode", "manifest_path", "sentences_path", "output_dir",
+        }
+        # Options of the random mode do nothing here, so they are refused.
+        assert run_cli(*argv, "--count", 9, "--m", 4, "--out-dir", tmp_path / "x") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_llm_service_failure_exit_code(self, toy_corpus, tmp_path, monkeypatch):
         monkeypatch.setenv("CORPUSFORGE_LLM_KEY", "k")
         monkeypatch.setattr("corpusforge.llmclient.BACKOFF_BASE_S", 0.0)
@@ -426,6 +456,22 @@ class TestSplitCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("ratio", [True, "most", [0.5]])
+    def test_non_numeric_ratio_in_config_is_usage_error(
+        self, toy_corpus, tmp_path, capsys, ratio
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"train_ratio": ratio}))
+        code = run_cli(
+            "split",
+            "--manifest", toy_corpus / "manifest.csv",
+            "--config", config,
+            "--policy", "natural", "--seed", 42,
+            "--out-dir", tmp_path / "split",
+        )
+        assert code == 1
+        assert "train_ratio" in capsys.readouterr().err
+
     def test_single_group_manifest_is_data_error(self, tmp_path):
         manifest = tmp_path / "m.csv"
         manifest.write_text(
@@ -480,6 +526,17 @@ class TestEvalCommand:
         )
         assert code == 0
         assert len(calls) == len(read_json(out / "eval_report.json")["pairs"])
+
+    def test_mode_from_config(self, toy_corpus, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"mode": "cer"}))
+        out = tmp_path / "eval"
+        assert run_cli(
+            "eval", "--pairs", toy_corpus / "pairs.jsonl", "--config", config,
+            "--out-dir", out,
+        ) == 0
+        assert read_json(out / "eval_report.json")["mode"] == "cer"
+        assert read_json(out / "run.json")["config"]["mode"] == "cer"
 
     def test_empty_reference_names_pair(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
@@ -537,3 +594,66 @@ def test_run_json_contents(toy_corpus, tmp_path):
     assert len(run["config_sha256"]) == 64
     assert set(run["input_sha256"]) == {"lexicon", "corpus"}
     assert "created_at" in run
+
+
+# (config file contents or None, argv with {toy} for the fixture, text the
+# error must contain). Each check fails before any output is written.
+USAGE_PROBES = {
+    "config-not-an-object": (
+        [1], "select --corpus {toy}/corpus.txt --k 2", "config",
+    ),
+    "seeds-not-an-object": (
+        {"seeds": 5},
+        "split --manifest {toy}/manifest.csv --policy natural --ratio 0.7",
+        "seeds",
+    ),
+    "path-not-a-string": (
+        {"lexicon_path": 5}, "report --words {toy}/corpus.txt", "lexicon_path",
+    ),
+    "file-is-a-directory": (
+        None, "report --lexicon {toy}/audio --words {toy}/corpus.txt", "--lexicon",
+    ),
+    "negative-gap": (
+        {"gap_ms": -5},
+        "concat --plan {toy}/sentences.txt --audio-root {toy}/audio",
+        "gap_ms",
+    ),
+    "directory-is-a-file": (
+        None,
+        "concat --plan {toy}/sentences.txt --audio-root {toy}/corpus.txt",
+        "--audio-root",
+    ),
+    "out-dir-is-a-file": (
+        None,
+        "report --lexicon {toy}/lexicon.tsv --words {toy}/corpus.txt"
+        " --out-dir {toy}/corpus.txt",
+        "output_dir",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "config, argv, key", USAGE_PROBES.values(), ids=list(USAGE_PROBES)
+)
+def test_bad_option_is_usage_error_naming_it(
+    toy_corpus, tmp_path, capsys, config, argv, key
+):
+    args = [a.format(toy=toy_corpus) for a in argv.split()]
+    out = tmp_path / "out"
+    if "--out-dir" not in args:
+        args += ["--out-dir", out]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args += ["--config", tmp_path / "cfg.json"]
+    assert run_cli(*args) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+    assert (toy_corpus / "corpus.txt").is_file()
+
+
+def test_readme_documents_every_option():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for _, options in COMMANDS.values():
+        for opt in (*options, OUT_DIR):
+            assert f"`{opt.flag}`" in readme, opt.flag
+            assert f"`{opt.config_key}`" in readme, opt.config_key

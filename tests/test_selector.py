@@ -10,7 +10,6 @@ from corpusforge.selector import (
     CandidatePool,
     PhonemeWeights,
     SelectionError,
-    brute_force_max_coverage,
     coverage_report,
     gbc_select,
     pool_from_lexicon,
@@ -18,7 +17,12 @@ from corpusforge.selector import (
     replay_selection,
 )
 
-from oracles import gbc_oracle_trace, pwps_oracle_trace, random_pool
+from oracles import (
+    brute_force_max_coverage,
+    gbc_oracle_trace,
+    pwps_oracle_trace,
+    random_pool,
+)
 
 
 def pool_of(items):
