@@ -171,6 +171,12 @@ COMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
 }
 
 
+# Every key a config may hold; a `seeds.<x>` key is `x` in the `seeds` object.
+_CONFIG_KEYS = frozenset(
+    opt.config_key for _, options in COMMANDS.values() for opt in (*options, OUT_DIR)
+)
+
+
 class _Run:
     """A command path's checked options, in the form run.json records them."""
 
@@ -200,6 +206,18 @@ def _load_config(value) -> dict:
         kind = type(config).__name__
         raise UsageError(f"config {path} must be a JSON object, not {kind}")
     return config
+
+
+def _warn_unknown_keys(config: dict) -> None:
+    """Name the keys no command reads; one config may serve several commands."""
+    keys = [key for key in config if key != "seeds"]
+    if isinstance(config.get("seeds"), dict):
+        keys += [f"seeds.{key}" for key in config["seeds"]]
+    unknown = [key for key in keys if key not in _CONFIG_KEYS]
+    if unknown:
+        logger.warning(
+            "config key(s) no command reads, ignored: %s", ", ".join(unknown)
+        )
 
 
 def _config_value(config: dict, key: str):
@@ -259,6 +277,7 @@ def _checked(opt: Option, value, label: str):
 def _prepare(args) -> _Run:
     """Check every option of the command path, then create the out-dir."""
     config = _load_config(args.config)
+    _warn_unknown_keys(config)
     mode = args.path.partition(" ")[2]
     # A rechain mode is part of the command path and recorded as `mode`.
     run = _Run(args.path, {"mode": mode} if mode else {})

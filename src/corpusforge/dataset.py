@@ -20,8 +20,12 @@ import csv
 import json
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 from .errors import CorpusForgeError
 from .textnorm import normalize_word
@@ -40,6 +44,7 @@ MANIFEST_COLUMNS = (
     "audio_path",
     "transcript",
 )
+_COLUMN_SET = frozenset(MANIFEST_COLUMNS)
 
 
 class ManifestError(CorpusForgeError):
@@ -50,8 +55,9 @@ class SplitError(CorpusForgeError):
     """Split cannot be produced (bad ratio, single group, ...)."""
 
 
-@dataclass(frozen=True)
-class RecordingEntry:
+class RecordingEntry(NamedTuple):
+    """One manifest row, its fields in ``MANIFEST_COLUMNS`` order."""
+
     speaker_id: str
     session_id: str
     block_id: str
@@ -63,18 +69,11 @@ class RecordingEntry:
 
     @property
     def key(self) -> tuple[str, str, str, str, str, int]:
-        return (
-            self.speaker_id,
-            self.session_id,
-            self.block_id,
-            self.microphone_id,
-            self.word,
-            self.repetition_index,
-        )
+        return self[:6]
 
     @property
     def entry_id(self) -> str:
-        return "|".join(str(part) for part in self.key)
+        return f"{self[0]}|{self[1]}|{self[2]}|{self[3]}|{self[4]}|{self[5]}"
 
 
 @dataclass(frozen=True)
@@ -87,108 +86,146 @@ class RecordingManifest:
         return len(self.entries)
 
 
-def _build_manifest(rows: list[tuple[int, dict]], source: str) -> RecordingManifest:
+def _build_manifest(
+    linenos: Sequence[int], rows: list[Sequence], source: str
+) -> RecordingManifest:
+    """Entries from rows of values in ``MANIFEST_COLUMNS`` order."""
     entries: list[RecordingEntry] = []
     seen: dict[tuple, int] = {}
-    for lineno, row in rows:
-        missing = [
-            c
-            for c in MANIFEST_COLUMNS
-            if row.get(c) is None or (row.get(c) == "" and c != "transcript")
-        ]
-        if missing:
-            raise ManifestError(
-                f"{source}: row {lineno}: missing field(s) {', '.join(missing)}"
-            )
+    words: dict[str, str] = {}  # raw word -> normalized; words repeat per mic/rep
+    make = RecordingEntry._make
+    for lineno, v in zip(linenos, rows):
+        # "" and None are falsy, so a row passing this cheap test has every
+        # field; a row failing it (a JSON 0, say) gets the exact check.
+        if not all(v[:7]) or v[7] is None:
+            missing = [
+                c
+                for c, x in zip(MANIFEST_COLUMNS, v)
+                if x is None or (x == "" and c != "transcript")
+            ]
+            if missing:
+                raise ManifestError(
+                    f"{source}: row {lineno}: missing field(s) {', '.join(missing)}"
+                )
+        speaker, session, block, mic, word, rep, audio, transcript = v
         try:
-            rep = int(row["repetition_index"])
+            rep = int(rep)
         except (TypeError, ValueError):
             raise ManifestError(
                 f"{source}: row {lineno}: repetition_index must be an integer, "
-                f"got {row['repetition_index']!r}"
+                f"got {rep!r}"
             ) from None
         if rep < 0:
             raise ManifestError(f"{source}: row {lineno}: repetition_index < 0")
-        entry = RecordingEntry(
-            speaker_id=str(row["speaker_id"]),
-            session_id=str(row["session_id"]),
-            block_id=str(row["block_id"]),
-            microphone_id=str(row["microphone_id"]),
-            word=normalize_word(str(row["word"])),
-            repetition_index=rep,
-            audio_path=str(row["audio_path"]),
-            transcript=str(row["transcript"]),
-        )
-        if entry.key in seen:
+        word = str(word)
+        normalized = words.get(word)
+        if normalized is None:
+            normalized = words[word] = normalize_word(word)
+        entry = make((
+            str(speaker), str(session), str(block), str(mic),
+            normalized, rep, str(audio), str(transcript),
+        ))
+        key = entry[:6]
+        if key in seen:
             raise ManifestError(
                 f"{source}: duplicate recording key {entry.entry_id!r} "
-                f"at rows {seen[entry.key]} and {lineno}"
+                f"at rows {seen[key]} and {lineno}"
             )
-        seen[entry.key] = lineno
+        seen[key] = lineno
         entries.append(entry)
     if not entries:
         raise ManifestError(f"{source}: manifest is empty")
     return RecordingManifest(tuple(entries))
 
 
+def _jsonl_rows(f, path: Path) -> tuple[list[int], list[list]]:
+    """Line numbers and value lists of the non-blank lines."""
+    linenos, rows = [], []
+    for lineno, line in enumerate(f, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{path}: row {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ManifestError(f"{path}: row {lineno}: expected a JSON object")
+        extra = record.keys() - _COLUMN_SET
+        if extra:
+            logger.warning(
+                "%s: row %d: ignoring unknown field(s) %s",
+                path, lineno, ", ".join(sorted(extra)),
+            )
+        linenos.append(lineno)
+        rows.append([record.get(c) for c in MANIFEST_COLUMNS])
+    return linenos, rows
+
+
+def _csv_rows(f, path: Path) -> tuple[range, list[Sequence]]:
+    """Line numbers and value rows as ``csv.DictReader`` would give them.
+
+    Blank records are skipped and not numbered (records count from 2, after
+    the header), a short row pads with None, cells past the header are
+    ignored, and a column named twice takes its last cell.
+    """
+    reader = csv.reader(f)
+    header = next(reader, None)
+    if header is None:
+        raise ManifestError(f"{path}: no header row")
+    missing = [c for c in MANIFEST_COLUMNS if c not in header]
+    if missing:
+        raise ManifestError(f"{path}: missing column(s) {', '.join(missing)}")
+    extra = [c for c in header if c not in MANIFEST_COLUMNS]
+    if extra:
+        logger.warning("%s: ignoring unknown column(s) %s", path, ", ".join(extra))
+    last = {name: i for i, name in enumerate(header)}
+    index = [last[c] for c in MANIFEST_COLUMNS]
+    pick, width = itemgetter(*index), max(index) + 1
+    rows = [
+        pick(row) if len(row) >= width
+        else [row[i] if i < len(row) else None for i in index]
+        for row in filter(None, reader)
+    ]
+    return range(2, len(rows) + 2), rows
+
+
 def load_manifest(path: str | Path) -> RecordingManifest:
     """Load a manifest from CSV (with header) or JSONL, by file extension.
 
     Unknown extra columns are ignored with a warning; missing required
-    columns or duplicate recording keys are errors naming the rows.
+    columns or duplicate recording keys are errors naming the rows. A UTF-8
+    byte order mark, as Excel writes, is skipped.
     """
     path = Path(path)
-    rows: list[tuple[int, dict]] = []
     if path.suffix.lower() in (".jsonl", ".json"):
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ManifestError(
-                        f"{path}: row {lineno}: invalid JSON: {exc}"
-                    ) from exc
-                if not isinstance(record, dict):
-                    raise ManifestError(
-                        f"{path}: row {lineno}: expected a JSON object"
-                    )
-                extra = set(record) - set(MANIFEST_COLUMNS)
-                if extra:
-                    logger.warning(
-                        "%s: row %d: ignoring unknown field(s) %s",
-                        path, lineno, ", ".join(sorted(extra)),
-                    )
-                rows.append((lineno, record))
+        with open(path, encoding="utf-8-sig") as f:
+            linenos, rows = _jsonl_rows(f, path)
     else:
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None:
-                raise ManifestError(f"{path}: no header row")
-            missing = [c for c in MANIFEST_COLUMNS if c not in reader.fieldnames]
-            if missing:
-                raise ManifestError(
-                    f"{path}: missing column(s) {', '.join(missing)}"
-                )
-            extra = [c for c in reader.fieldnames if c not in MANIFEST_COLUMNS]
-            if extra:
-                logger.warning(
-                    "%s: ignoring unknown column(s) %s", path, ", ".join(extra)
-                )
-            for lineno, record in enumerate(reader, start=2):
-                rows.append((lineno, record))
-    return _build_manifest(rows, str(path))
+        with open(path, encoding="utf-8-sig", newline="") as f:
+            linenos, rows = _csv_rows(f, path)
+    return _build_manifest(linenos, rows, str(path))
+
+
+# Each policy's group key as a tuple: (word,), (speaker, session, block) or
+# (speaker, session, block, word).
+_GROUP_KEYS = {
+    "strict": itemgetter(slice(4, 5)),
+    "mixed": itemgetter(slice(0, 3)),
+    "natural": itemgetter(0, 1, 2, 4),
+}
+
+
+def _group_key_of(policy: str):
+    try:
+        return _GROUP_KEYS[policy]
+    except KeyError:
+        raise SplitError(
+            f"unknown policy {policy!r}, expected one of {POLICIES}"
+        ) from None
 
 
 def group_key(entry: RecordingEntry, policy: str) -> tuple[str, ...]:
-    if policy == "strict":
-        return (entry.word,)
-    if policy == "mixed":
-        return (entry.speaker_id, entry.session_id, entry.block_id)
-    if policy == "natural":
-        return (entry.speaker_id, entry.session_id, entry.block_id, entry.word)
-    raise SplitError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    return _group_key_of(policy)(entry)
 
 
 @dataclass(frozen=True)
@@ -216,40 +253,39 @@ def split(
     """
     if not 0 < train_ratio < 1:
         raise SplitError(f"train_ratio must be in (0, 1), got {train_ratio}")
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for entry in manifest.entries:
-        groups.setdefault(group_key(entry, policy), []).append(entry.entry_id)
-    if len(groups) < 2:
+    entries = manifest.entries
+    entry_keys = list(map(_group_key_of(policy), entries))
+    sizes = Counter(entry_keys)
+    if len(sizes) < 2:
         raise SplitError(
             f"policy {policy!r} yields a single group; cannot fill both sides"
         )
-    keys = sorted(groups)
+    canonical = sorted(sizes)
+    keys = canonical.copy()
     random.Random(seed).shuffle(keys)
 
-    total = len(manifest.entries)
-    target = train_ratio * total
+    target = train_ratio * len(entries)
     train_keys: list[tuple[str, ...]] = []
     count = 0
     boundary = len(keys)
     for i, key in enumerate(keys):
         train_keys.append(key)
-        count += len(groups[key])
+        count += sizes[key]
         if count >= target:
             boundary = i + 1
             break
     test_keys = keys[boundary:]
     if not test_keys:
-        smallest = min(train_keys, key=lambda k: (len(groups[k]), k))
+        smallest = min(train_keys, key=lambda k: (sizes[k], k))
         train_keys.remove(smallest)
         test_keys = [smallest]
 
-    side_of = {key: "train" for key in train_keys}
-    side_of.update({key: "test" for key in test_keys})
-    labels = {
-        entry.entry_id: side_of[group_key(entry, policy)]
-        for entry in manifest.entries
-    }
-    audit = {"|".join(key): side_of[key] for key in sorted(side_of)}
+    side_of = dict.fromkeys(train_keys, "train")
+    side_of.update(dict.fromkeys(test_keys, "test"))
+    labels = dict(zip(
+        [entry.entry_id for entry in entries], map(side_of.__getitem__, entry_keys)
+    ))
+    audit = {"|".join(key): side_of[key] for key in canonical}
     return SplitAssignment(
         policy=policy,
         seed=seed,
@@ -291,31 +327,38 @@ def audit_leakage(
     Works from the labels alone (not the stored audit map), so a corrupted
     assignment shows up as spanning group keys.
     """
-    sides_by_group: dict[tuple[str, ...], set[str]] = {}
-    vocab: dict[str, set[str]] = {"train": set(), "test": set()}
-    counts = {"train": 0, "test": 0}
-    for entry in manifest.entries:
-        side = assignment.labels.get(entry.entry_id)
-        if side not in ("train", "test"):
-            raise SplitError(f"entry {entry.entry_id!r} not covered by assignment")
-        sides_by_group.setdefault(group_key(entry, assignment.policy), set()).add(side)
-        vocab[side].add(entry.word)
-        counts[side] += 1
-    spanning = sum(1 for sides in sides_by_group.values() if len(sides) > 1)
-    total = counts["train"] + counts["test"]
+    entries = manifest.entries
+    sides = list(map(assignment.labels.get, [e.entry_id for e in entries]))
+    train, test = sides.count("train"), sides.count("test")
+    if train + test != len(sides):
+        entry = next(
+            e for e, side in zip(entries, sides) if side not in ("train", "test")
+        )
+        raise SplitError(f"entry {entry.entry_id!r} not covered by assignment")
+    entry_keys = list(map(_group_key_of(assignment.policy), entries))
+    # A group on both sides shows up as two distinct (key, side) pairs.
+    spanning = len(set(zip(entry_keys, sides))) - len(set(entry_keys))
+    train_words = {e.word for e, side in zip(entries, sides) if side == "train"}
+    test_words = {e.word for e, side in zip(entries, sides) if side == "test"}
+    total = train + test
     return LeakageAudit(
         policy=assignment.policy,
         total_entries=total,
-        train_entries=counts["train"],
-        test_entries=counts["test"],
-        realized_train_ratio=counts["train"] / total,
+        train_entries=train,
+        test_entries=test,
+        realized_train_ratio=train / total,
         spanning_group_keys=spanning,
-        vocabulary_overlap=len(vocab["train"] & vocab["test"]),
+        vocabulary_overlap=len(train_words & test_words),
     )
 
 
 def write_assignment(assignment: SplitAssignment, path: str | Path) -> None:
     """Write the assignment as JSONL rows of {entry_id, side}."""
+    # The bytes of json.dumps({"entry_id": ..., "side": ...}) per line.
+    text = "".join([
+        f'{{"entry_id": {encode_basestring_ascii(entry_id)}, '
+        f'"side": {encode_basestring_ascii(side)}}}\n'
+        for entry_id, side in assignment.labels.items()
+    ])
     with open(path, "w", encoding="utf-8") as f:
-        for entry_id, side in assignment.labels.items():
-            f.write(json.dumps({"entry_id": entry_id, "side": side}) + "\n")
+        f.write(text)

@@ -3,24 +3,36 @@
 Everything here deliberately avoids the production code paths: the edit
 distance follows the textbook recursion, the weighted-selection oracle
 recomputes scores from scratch at every step, the maximum-coverage
-reference tries every subset, and the pool generator only uses the public
-constructors.
+reference tries every subset, the manifest loader reads rows through
+``csv.DictReader`` and per-column dict lookups, and the pool generator only
+uses the public constructors.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
+import logging
 import random
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 from typing import Sequence
 
+from corpusforge.dataset import (
+    MANIFEST_COLUMNS,
+    ManifestError,
+    RecordingEntry,
+    RecordingManifest,
+)
 from corpusforge.selector import (
     CandidatePool,
     CandidateWord,
     PhonemeWeights,
     SelectionError,
 )
+from corpusforge.textnorm import normalize_word
 
 
 def levenshtein_recursive(ref: Sequence[str], hyp: Sequence[str]) -> int:
@@ -189,3 +201,109 @@ def brute_force_max_coverage(
             if cov > best_cov or (cov == best_cov and combo < best_idx):
                 best_idx, best_cov = combo, cov
     return tuple(pool.words[i].word for i in best_idx), best_cov
+
+
+oracle_logger = logging.getLogger("oracles.manifest")
+
+
+def _oracle_build_manifest(rows: list[tuple[int, dict]], source: str) -> RecordingManifest:
+    entries: list[RecordingEntry] = []
+    seen: dict[tuple, int] = {}
+    for lineno, row in rows:
+        missing = [
+            c
+            for c in MANIFEST_COLUMNS
+            if row.get(c) is None or (row.get(c) == "" and c != "transcript")
+        ]
+        if missing:
+            raise ManifestError(
+                f"{source}: row {lineno}: missing field(s) {', '.join(missing)}"
+            )
+        try:
+            rep = int(row["repetition_index"])
+        except (TypeError, ValueError):
+            raise ManifestError(
+                f"{source}: row {lineno}: repetition_index must be an integer, "
+                f"got {row['repetition_index']!r}"
+            ) from None
+        if rep < 0:
+            raise ManifestError(f"{source}: row {lineno}: repetition_index < 0")
+        entry = RecordingEntry(
+            speaker_id=str(row["speaker_id"]),
+            session_id=str(row["session_id"]),
+            block_id=str(row["block_id"]),
+            microphone_id=str(row["microphone_id"]),
+            word=normalize_word(str(row["word"])),
+            repetition_index=rep,
+            audio_path=str(row["audio_path"]),
+            transcript=str(row["transcript"]),
+        )
+        key = (
+            entry.speaker_id,
+            entry.session_id,
+            entry.block_id,
+            entry.microphone_id,
+            entry.word,
+            entry.repetition_index,
+        )
+        if key in seen:
+            entry_id = "|".join(str(part) for part in key)
+            raise ManifestError(
+                f"{source}: duplicate recording key {entry_id!r} "
+                f"at rows {seen[key]} and {lineno}"
+            )
+        seen[key] = lineno
+        entries.append(entry)
+    if not entries:
+        raise ManifestError(f"{source}: manifest is empty")
+    return RecordingManifest(tuple(entries))
+
+
+def manifest_oracle(path: str | Path) -> RecordingManifest:
+    """``load_manifest`` as one dict per row: ``csv.DictReader`` or ``json.loads``.
+
+    Same contract, messages and warnings (logged to ``oracles.manifest``);
+    every row is read before the first is checked.
+    """
+    path = Path(path)
+    rows: list[tuple[int, dict]] = []
+    if path.suffix.lower() in (".jsonl", ".json"):
+        with open(path, encoding="utf-8-sig") as f:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ManifestError(
+                        f"{path}: row {lineno}: invalid JSON: {exc}"
+                    ) from exc
+                if not isinstance(record, dict):
+                    raise ManifestError(
+                        f"{path}: row {lineno}: expected a JSON object"
+                    )
+                extra = set(record) - set(MANIFEST_COLUMNS)
+                if extra:
+                    oracle_logger.warning(
+                        "%s: row %d: ignoring unknown field(s) %s",
+                        path, lineno, ", ".join(sorted(extra)),
+                    )
+                rows.append((lineno, record))
+    else:
+        with open(path, encoding="utf-8-sig", newline="") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames is None:
+                raise ManifestError(f"{path}: no header row")
+            missing = [c for c in MANIFEST_COLUMNS if c not in reader.fieldnames]
+            if missing:
+                raise ManifestError(
+                    f"{path}: missing column(s) {', '.join(missing)}"
+                )
+            extra = [c for c in reader.fieldnames if c not in MANIFEST_COLUMNS]
+            if extra:
+                oracle_logger.warning(
+                    "%s: ignoring unknown column(s) %s", path, ", ".join(extra)
+                )
+            for lineno, record in enumerate(reader, start=2):
+                rows.append((lineno, record))
+    return _oracle_build_manifest(rows, str(path))

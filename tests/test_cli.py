@@ -472,6 +472,27 @@ class TestSplitCommand:
         assert code == 1
         assert "train_ratio" in capsys.readouterr().err
 
+    def test_excel_bom_manifest_gives_same_outputs(self, toy_corpus, tmp_path):
+        plain = toy_corpus / "manifest.csv"
+        bom = tmp_path / "excel.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for manifest in (plain, bom):
+            out = tmp_path / manifest.stem
+            assert run_cli(
+                "split", "--manifest", manifest, "--policy", "natural",
+                "--ratio", 0.5, "--seed", 3, "--out-dir", out / "split",
+            ) == 0
+            assert run_cli(
+                "rechain", "random", "--manifest", manifest,
+                "--count", 3, "--seed", 11, "--out-dir", out / "plans",
+            ) == 0
+            outputs.append((
+                (out / "split" / "split_assignment.jsonl").read_bytes(),
+                (out / "plans" / "plans.jsonl").read_bytes(),
+            ))
+        assert outputs[0] == outputs[1]
+
     def test_single_group_manifest_is_data_error(self, tmp_path):
         manifest = tmp_path / "m.csv"
         manifest.write_text(
@@ -649,6 +670,23 @@ def test_bad_option_is_usage_error_naming_it(
     assert key in capsys.readouterr().err
     assert not out.exists()
     assert (toy_corpus / "corpus.txt").is_file()
+
+
+def test_unknown_config_keys_are_warned(toy_corpus, tmp_path, caplog):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "policy": "natural", "gap": 100, "k": 3,
+        "seeds": {"split": 42, "spilt": 1, "rechain": 7},
+    }))
+    with caplog.at_level("WARNING", logger="corpusforge"):
+        code = run_cli(
+            "split", "--manifest", toy_corpus / "manifest.csv",
+            "--config", config, "--ratio", 0.7, "--out-dir", tmp_path / "out",
+        )
+    assert code == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    # `k` and `seeds.rechain` belong to other commands, so they pass quietly.
+    assert warnings == ["config key(s) no command reads, ignored: gap, seeds.spilt"]
 
 
 def test_readme_documents_every_option():

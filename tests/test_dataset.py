@@ -1,13 +1,24 @@
+import csv
 import dataclasses
+import io
 import json
+import logging
 import random
+import tempfile
+import unicodedata
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from corpusforge.dataset import (
+    MANIFEST_COLUMNS,
     ManifestError,
     RecordingEntry,
     RecordingManifest,
+    SplitAssignment,
     SplitError,
     audit_leakage,
     group_key,
@@ -15,6 +26,8 @@ from corpusforge.dataset import (
     split,
     write_assignment,
 )
+
+from oracles import manifest_oracle
 
 HEADER = (
     "speaker_id,session_id,block_id,microphone_id,word,"
@@ -251,3 +264,170 @@ def test_write_assignment_jsonl(tmp_path):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert {r["side"] for r in rows} == {"train", "test"}
     assert rows[0]["entry_id"] == manifest.entries[0].entry_id
+
+
+def test_write_assignment_bytes_match_json_dumps(tmp_path):
+    ids = [
+        "spk1|s1|b1|m1|hund|0",
+        "spk1|s1|b1|m1|" + unicodedata.normalize("NFC", "mu\u0308de") + "|1",
+        "spk1|s1|b1|m1|" + "mu\u0308de" + "|2",  # NFD, as a caller could build
+        'sp"k|s\\1|b|1|m||w|3',
+        "\u00fc\u00df\u20ac\U0001f3a4|\t|\x00|\x7f|w|4",
+    ]
+    assignment = SplitAssignment(
+        policy="natural", seed=0, train_ratio=0.5,
+        labels=dict(zip(ids, ["train", "test", "train", "test", "test"])),
+        group_key_audit={},
+    )
+    path = tmp_path / "assignment.jsonl"
+    write_assignment(assignment, path)
+    expected = "".join(
+        json.dumps({"entry_id": entry_id, "side": side}) + "\n"
+        for entry_id, side in assignment.labels.items()
+    )
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_recording_entry_is_a_named_tuple_of_its_fields():
+    entry = make_entry(word="hund", rep=2)
+    fields = ("spk1", "s1", "b1", "m1", "hund", 2, "spk1/hund_b1_m1_2.wav", "hund")
+    assert entry == fields
+    assert entry.key == fields[:6]
+    assert entry.entry_id == "spk1|s1|b1|m1|hund|2"
+    assert RecordingEntry._fields == MANIFEST_COLUMNS
+    with pytest.raises(AttributeError):
+        entry.word = "katze"
+
+
+# -- load_manifest against the DictReader oracle -----------------------------
+
+# Small value sets so that duplicate keys come up often. A cell takes one of
+# its column's good values or, one time in 30, a bad one: "" unless the
+# column lists its own (an empty transcript is good, so it has none).
+GOOD_CELLS = {
+    "speaker_id": ["spk1", "spk2", "s,p"],
+    "session_id": ["s1", "s|1"],
+    "block_id": ["b1", "b\n2"],
+    "microphone_id": ["m1", "m2"],
+    "word": ["hund", " Hund ", "mu\u0308de", "m\u00fcde", '"q"'],
+    "repetition_index": ["0", "1", " 2 ", "+3"],
+    "audio_path": ["a.wav", "dir, with comma/b.wav"],
+    "transcript": ["", "hund", "line\nbreak", "\u00e9"],
+    "mood": ["happy", ""],
+}
+BAD_CELLS = {"repetition_index": ["-1", "x", "1.5"], "transcript": []}
+GOOD_JSON = {
+    "speaker_id": ["spk1", 7, 0],
+    "word": ["hund", "mu\u0308de", 5],
+    "repetition_index": [0, 1, "2", True],
+    "transcript": ["", "hund", 0],
+}
+BAD_JSON = {"repetition_index": [-1, 2.5, "x", [1]], "transcript": [None]}
+
+
+def cell(rng: random.Random, good: dict, bad: dict, name: str):
+    values = good.get(name, GOOD_CELLS[name])
+    if rng.random() < 1 / 30:
+        values = bad.get(name, [""]) or values
+    return rng.choice(values)
+
+
+@contextmanager
+def logged_warnings(*names: str):
+    """Warning messages logged to the named loggers, in order."""
+    messages: list[str] = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    loggers = [logging.getLogger(name) for name in names]
+    for lg in loggers:
+        lg.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        for lg in loggers:
+            lg.removeHandler(handler)
+
+
+def outcome(load, path: Path):
+    with logged_warnings("corpusforge.dataset", "oracles.manifest") as warnings:
+        try:
+            result = ("ok", load(path).entries)
+        except ManifestError as exc:
+            result = ("error", str(exc))
+    return result, warnings
+
+
+def assert_matches_oracle(text: str, suffix: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"manifest{suffix}"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(manifest_oracle, path)
+        assert outcome(load_manifest, path) == expected
+    # What the examples exercised (pytest --hypothesis-show-statistics).
+    kind, value = expected[0]
+    event("loaded" if kind == "ok" else value.split(": ")[-1][:30])
+
+
+# Manifests are built from a seeded Random rather than from hypothesis's own
+# draws, which lean so hard on edge values that almost no row would be valid.
+
+
+def csv_manifest(rng: random.Random) -> str:
+    header = list(MANIFEST_COLUMNS)
+    rng.shuffle(header)
+    for _ in range(rng.choice([0, 0, 1, 2])):  # duplicate and extra columns
+        header.insert(rng.randint(0, len(header)), rng.choice([*header, "mood"]))
+    if rng.random() < 0.05:
+        header.remove(rng.choice(MANIFEST_COLUMNS))
+    records = [header]
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.15:
+            records.append([])  # a blank line
+            continue
+        if len(records) > 1 and rng.random() < 0.1:
+            row = list(rng.choice(records[1:]))  # a duplicate key, or a blank
+        else:
+            row = [cell(rng, GOOD_CELLS, BAD_CELLS, name) for name in header]
+        cut = rng.choice([0] * 16 + [-1, -2, 1, 2])  # short or long rows
+        row = row[:cut] if cut < 0 else row + ["extra"] * cut
+        records.append(row)
+    out = io.StringIO()
+    writer = csv.writer(
+        out,
+        lineterminator=rng.choice(["\n", "\r\n"]),
+        quoting=rng.choice([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    )
+    writer.writerows(records)
+    return rng.choice(["", "\ufeff"]) + out.getvalue()
+
+
+def jsonl_manifest(rng: random.Random) -> str:
+    lines, records = [], []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "  ", "[1, 2]", "{bad"]))
+            continue
+        if records and rng.random() < 0.1:
+            record = rng.choice(records)  # a duplicate key
+        else:
+            columns = [*MANIFEST_COLUMNS, "mood"]
+            record = {
+                name: cell(rng, GOOD_JSON, BAD_JSON, name)
+                for name in rng.sample(columns, len(columns))
+                if rng.random() < (0.5 if name == "mood" else 0.97)
+            }
+        records.append(record)
+        lines.append(json.dumps(record, ensure_ascii=rng.random() < 0.5))
+    return rng.choice(["", "\ufeff"]) + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_csv_load_matches_dictreader_oracle(rng):
+    assert_matches_oracle(csv_manifest(rng), ".csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_jsonl_load_matches_json_oracle(rng):
+    assert_matches_oracle(jsonl_manifest(rng), ".jsonl")
