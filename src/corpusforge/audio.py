@@ -1,8 +1,9 @@
 """Reading, concatenating and writing 16-bit mono PCM WAV clips.
 
-Only canonical RIFF/WAVE with PCM format 1, one channel, 16 bits per sample
-is supported; anything else is rejected with the offending header field
-named, rather than resampled or converted behind the caller's back.
+Only RIFF/WAVE PCM with one channel and 16 bits per sample is supported,
+either as format 1 or as ``WAVE_FORMAT_EXTENSIBLE`` with the PCM subformat;
+anything else is rejected with the offending header field named, rather
+than resampled or converted behind the caller's back.
 Concatenation inserts digital-zero gaps between clips and can apply linear
 fades at clip edges. All length arithmetic is in integer samples.
 """
@@ -12,11 +13,19 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CorpusForgeError
+
+# numpy is imported inside the functions that use it, so a command that
+# never touches audio starts without it.
+if TYPE_CHECKING:
+    import numpy as np
+
+WAVE_FORMAT_PCM = 1
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# KSDATAFORMAT_SUBTYPE_PCM: {00000001-0000-0010-8000-00aa00389b71}.
+_SUBTYPE_PCM = bytes.fromhex("0100000000001000800000aa00389b71")
 
 
 class AudioError(CorpusForgeError):
@@ -40,6 +49,8 @@ class AudioClip:
     source_path: str = ""
 
     def __post_init__(self):
+        import numpy as np
+
         if self.samples.dtype != np.int16 or self.samples.ndim != 1:
             raise AudioError("samples must be a 1-D int16 array")
         if self.sample_rate <= 0:
@@ -67,7 +78,7 @@ def _ms_to_samples(ms: int, rate: int) -> int:
 
 
 def read_wav(path: str | Path) -> AudioClip:
-    """Parse a canonical WAV file into an :class:`AudioClip`.
+    """Parse a 16-bit mono PCM WAV file into an :class:`AudioClip`.
 
     Walks the RIFF chunk list, so extra chunks (LIST, fact, ...) are fine.
     Raises :class:`UnsupportedWavError` for non-PCM, multi-channel or
@@ -89,7 +100,7 @@ def read_wav(path: str | Path) -> AudioClip:
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise WavParseError(f"{path}: fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = body
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise WavParseError(
@@ -103,8 +114,12 @@ def read_wav(path: str | Path) -> AudioClip:
         raise WavParseError(f"{path}: no fmt chunk")
     if pcm_bytes is None:
         raise WavParseError(f"{path}: no data chunk")
-    audio_format, channels, sample_rate, _, _, bits = fmt
-    if audio_format != 1:
+    audio_format, channels, sample_rate, _, _, bits = struct.unpack_from(
+        "<HHIIHH", fmt
+    )
+    if audio_format == WAVE_FORMAT_EXTENSIBLE:
+        _check_extensible(path, fmt, bits)
+    elif audio_format != WAVE_FORMAT_PCM:
         raise UnsupportedWavError(f"{path}: audio_format={audio_format}, want PCM (1)")
     if channels != 1:
         raise UnsupportedWavError(f"{path}: channels={channels}, want mono (1)")
@@ -112,8 +127,35 @@ def read_wav(path: str | Path) -> AudioClip:
         raise UnsupportedWavError(f"{path}: bits_per_sample={bits}, want 16")
     if len(pcm_bytes) % 2:
         raise WavParseError(f"{path}: odd data size for 16-bit samples")
+    import numpy as np
+
     samples = np.frombuffer(pcm_bytes, dtype="<i2").astype(np.int16)
     return AudioClip(samples=samples, sample_rate=sample_rate, source_path=str(path))
+
+
+def _check_extensible(path, fmt: bytes, bits: int) -> None:
+    """Accept a WAVE_FORMAT_EXTENSIBLE fmt body only with the PCM subformat.
+
+    Its extension is cbSize (>= 22), valid bits per sample, the channel
+    mask and the 16-byte subformat GUID, 40 bytes of fmt body in all.
+    """
+    cb_size = struct.unpack_from("<H", fmt, 16)[0] if len(fmt) >= 18 else 0
+    if cb_size < 22 or len(fmt) < 40:
+        raise WavParseError(
+            f"{path}: extensible fmt chunk truncated "
+            f"(cbSize={cb_size}, {len(fmt)} bytes; want cbSize >= 22, 40 bytes)"
+        )
+    (valid_bits,) = struct.unpack_from("<H", fmt, 18)
+    subformat = fmt[24:40]
+    if subformat != _SUBTYPE_PCM:
+        import uuid
+
+        guid = uuid.UUID(bytes_le=subformat)
+        raise UnsupportedWavError(f"{path}: subformat={guid}, want PCM")
+    if valid_bits != bits:
+        raise UnsupportedWavError(
+            f"{path}: valid_bits_per_sample={valid_bits}, want {bits}"
+        )
 
 
 def write_wav(clip: AudioClip, path: str | Path) -> None:
@@ -130,6 +172,8 @@ def write_wav(clip: AudioClip, path: str | Path) -> None:
 def _fade(samples: np.ndarray, fade_samples: int) -> np.ndarray:
     if fade_samples == 0:
         return samples
+    import numpy as np
+
     out = samples.astype(np.float64)
     ramp = np.arange(fade_samples, dtype=np.float64) / fade_samples
     out[:fade_samples] *= ramp
@@ -158,6 +202,8 @@ def concat(clips: Sequence[AudioClip], spec: ConcatSpec) -> AudioClip:
         raise AudioError(
             f"fade of {fade} samples exceeds half the shortest clip ({shortest})"
         )
+    import numpy as np
+
     silence = np.zeros(gap, dtype=np.int16)
     pieces: list[np.ndarray] = []
     for i, clip in enumerate(clips):

@@ -29,7 +29,7 @@ import logging
 import random
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .audio import ConcatSpec, concat, load_plan_clips, write_wav
@@ -552,11 +552,34 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _command_path(argv: Sequence[str]) -> str | None:
+    """The command path `argv` names, or None.
+
+    Neither the top-level nor the ``rechain`` parser has an option that
+    takes a value, so argparse takes the first token that does not start
+    with ``-`` as the command and the next one as the rechain mode. Where
+    it reads a token this skips (``-``, ``-5``), the command is an invalid
+    choice either way.
+    """
+    words = [arg for arg in argv if not arg.startswith("-")]
+    for path in (" ".join(words[:2]), " ".join(words[:1])):
+        if path in COMMANDS:
+            return path
+    return None
+
+
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given `argv`, only the path it names gets options.
+
+    Every command and rechain mode is listed either way, so usage, help and
+    "invalid choice" read the same. Adding every path's options costs about
+    1 ms, which each command would pay before it starts.
+    """
     parser = _Parser(prog="corpusforge", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--version", action="version", version=f"corpusforge {__version__}"
     )
+    only = None if argv is None else _command_path(argv)
 
     def add(p: argparse.ArgumentParser, opt: Option) -> None:
         default = "" if opt.default is None else f", default {opt.default}"
@@ -574,14 +597,16 @@ def build_parser() -> argparse.ArgumentParser:
     modes = None
     for path, (help_text, options) in COMMANDS.items():
         command, _, mode = path.partition(" ")
-        if not mode:
-            p = sub.add_parser(command, parents=[common], help=help_text)
-        else:
-            if modes is None:
-                modes = sub.add_parser(
-                    command, help="build sentence plans from recorded words"
-                ).add_subparsers(dest="mode", required=True)
-            p = modes.add_parser(mode, parents=[common], help=help_text)
+        if mode and modes is None:
+            modes = sub.add_parser(
+                command, help="build sentence plans from recorded words"
+            ).add_subparsers(dest="mode", required=True)
+        siblings = modes if mode else sub
+        if argv is not None and path != only:
+            # Only listed: argparse never runs a path argv does not name.
+            siblings.add_parser(mode or command, help=help_text, add_help=False)
+            continue
+        p = siblings.add_parser(mode or command, parents=[common], help=help_text)
         for opt in options:
             add(p, opt)
         # cmd_<command> is looked up per parser, so a wrapper set on the
@@ -593,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if not logging.getLogger().handlers:
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -109,6 +109,13 @@ def _build_manifest(
                 )
         speaker, session, block, mic, word, rep, audio, transcript = v
         try:
+            # int() would take a JSON 2.7 or true as 2 or 1, and end in an
+            # OverflowError on Infinity; a CSV cell is always a str.
+            if type(rep) is not str and (
+                isinstance(rep, bool)
+                or (isinstance(rep, float) and not rep.is_integer())
+            ):
+                raise ValueError(rep)
             rep = int(rep)
         except (TypeError, ValueError):
             raise ManifestError(

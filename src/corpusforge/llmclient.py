@@ -9,14 +9,14 @@ is why rejects are surfaced instead of discarded.
 
 from __future__ import annotations
 
+import datetime
 import json
 import os
 import time
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
-
-import requests
+from typing import Callable
 
 from .rechain import SentencePlan, WordInventory, batch_plans
 
@@ -25,6 +25,8 @@ API_KEY_ENV = "CORPUSFORGE_LLM_KEY"
 # One initial attempt plus bounded retries; delays double from 1s.
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 1.0
+# Longest wait a Retry-After header may ask for; a longer one is cut to it.
+RETRY_AFTER_MAX_S = 30.0
 
 
 class LlmClientError(Exception):
@@ -64,6 +66,11 @@ class GenerationRequest:
     timeout_s: float = 30.0
 
     def __post_init__(self):
+        # urllib would also open file:// and other local schemes.
+        url = self.endpoint_url
+        scheme = urllib.parse.urlsplit(url).scheme if isinstance(url, str) else None
+        if scheme not in ("http", "https"):
+            raise LlmConfigError(f"endpoint_url must be an http(s) URL, got {url!r}")
         if self.sentence_count < 1:
             raise LlmConfigError(
                 f"sentence_count must be >= 1, got {self.sentence_count}"
@@ -121,48 +128,90 @@ def generate_sentences(
 ) -> GenerationResult:
     """POST the prompt and split the response text into sentence lines.
 
-    Network failures and 5xx responses are retried with exponential backoff
-    (1s, 2s) up to 3 attempts total, with the identical request body each
-    time; other non-2xx responses fail immediately with a body excerpt.
-    `sleep` is injectable so tests can assert the schedule without waiting.
+    Network failures, 5xx and 429 responses are retried up to 3 attempts
+    total, with the identical request body each time; other non-2xx
+    responses fail immediately with a body excerpt. Between attempts it
+    waits what a Retry-After header asks (capped at ``RETRY_AFTER_MAX_S``),
+    else 1s, then 2s. `sleep` is injectable so tests can assert the
+    schedule without waiting.
     """
+    # Only this command talks HTTP, so the client is imported here.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     api_key = os.environ.get(API_KEY_ENV)
     if not api_key:
         raise LlmConfigError(f"API key missing: set {API_KEY_ENV}")
-    body = {"model": request.model_name, "prompt": request.prompt}
-    headers = {"Authorization": f"Bearer {api_key}"}
+    body = json.dumps({"model": request.model_name, "prompt": request.prompt})
+    post = urllib.request.Request(
+        request.endpoint_url,
+        data=body.encode(),
+        headers={
+            "Authorization": f"Bearer {api_key}",
+            "Content-Type": "application/json",  # urllib would send a form type
+        },
+        method="POST",
+    )
 
     last_failure = ""
     for attempt in range(1, MAX_ATTEMPTS + 1):
+        wait = None
         try:
-            response = requests.post(
-                request.endpoint_url,
-                json=body,
-                headers=headers,
-                timeout=request.timeout_s,
-            )
-        except requests.RequestException as exc:
+            try:
+                response = urllib.request.urlopen(post, timeout=request.timeout_s)
+            except urllib.error.HTTPError as exc:
+                response = exc  # an error status still has headers and a body
+            with response:
+                status, payload = response.status, response.read()
+                retry_after = response.headers.get("Retry-After")
+        # URLError and TimeoutError are OSErrors.
+        except (OSError, http.client.HTTPException) as exc:
             last_failure = f"network error: {exc}"
         else:
-            if 200 <= response.status_code < 300:
-                return _parse_response(response, request)
-            excerpt = response.text[:200]
-            if response.status_code < 500:
-                raise LlmServiceError(
-                    f"HTTP {response.status_code}: {excerpt}", attempts=attempt
-                )
-            last_failure = f"HTTP {response.status_code}: {excerpt}"
+            if 200 <= status < 300:
+                return _parse_response(payload, request)
+            excerpt = payload.decode("utf-8", errors="replace")[:200]
+            if status < 500 and status != 429:
+                raise LlmServiceError(f"HTTP {status}: {excerpt}", attempts=attempt)
+            last_failure = f"HTTP {status}: {excerpt}"
+            wait = _retry_after_s(retry_after)
         if attempt < MAX_ATTEMPTS:
-            sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
+            sleep(BACKOFF_BASE_S * 2 ** (attempt - 1) if wait is None else wait)
     raise LlmServiceError(
         f"giving up after {MAX_ATTEMPTS} attempts; last failure: {last_failure}",
         attempts=MAX_ATTEMPTS,
     )
 
 
-def _parse_response(response, request: GenerationRequest) -> GenerationResult:
+def _retry_after_s(value: str | None) -> float | None:
+    """Seconds a Retry-After header asks to wait, capped; None if unusable.
+
+    RFC 9110 §10.2.3 allows delay-seconds or an HTTP-date; a date in the
+    past means no wait.
+    """
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        wait = float(value)
+    else:
+        from email.utils import parsedate_to_datetime
+
+        try:
+            when = parsedate_to_datetime(value)
+        except ValueError:
+            return None
+        if when.tzinfo is None:  # an asctime date has no zone; it means UTC
+            when = when.replace(tzinfo=datetime.timezone.utc)
+        now = datetime.datetime.now(datetime.timezone.utc)
+        wait = (when - now).total_seconds()
+    return min(max(wait, 0.0), RETRY_AFTER_MAX_S)
+
+
+def _parse_response(raw: bytes, request: GenerationRequest) -> GenerationResult:
     try:
-        payload = response.json()
+        payload = json.loads(raw)
     except ValueError as exc:
         raise LlmResponseError(f"response is not JSON: {exc}") from exc
     raw_text = _extract_text(payload, request.response_text_path)

@@ -8,12 +8,13 @@ instead of averaging per-pair rates, so short utterances do not dominate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Sequence
 
 from .errors import CorpusForgeError
 from .textnorm import normalize_text
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Mode = Literal["word", "char"]
 
@@ -136,6 +137,8 @@ def _table_np(reference: Sequence[str], hypothesis: Sequence[str]) -> np.ndarray
     insertion chain at once. The first row and column of ``f`` are 0, that
     is ``dist[i][0] = i`` and ``dist[0][j] = j``.
     """
+    import numpy as np  # here, so a run without long rows starts without it
+
     n, m = len(reference), len(hypothesis)
     ids: dict = {}
     ref_ids = np.array([ids.setdefault(t, len(ids)) for t in reference], np.int32)

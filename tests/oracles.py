@@ -219,8 +219,14 @@ def _oracle_build_manifest(rows: list[tuple[int, dict]], source: str) -> Recordi
             raise ManifestError(
                 f"{source}: row {lineno}: missing field(s) {', '.join(missing)}"
             )
+        rep = row["repetition_index"]
         try:
-            rep = int(row["repetition_index"])
+            # The integer rule of cli._int_value: no bools, no fractions.
+            if isinstance(rep, bool) or (
+                isinstance(rep, float) and not rep.is_integer()
+            ):
+                raise ValueError(rep)
+            rep = int(rep)
         except (TypeError, ValueError):
             raise ManifestError(
                 f"{source}: row {lineno}: repetition_index must be an integer, "

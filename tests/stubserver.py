@@ -17,14 +17,19 @@ class _Handler(BaseHTTPRequestHandler):
                 "path": self.path,
                 "body": body,
                 "authorization": self.headers.get("Authorization"),
+                "content_type": self.headers.get("Content-Type"),
             }
         )
         script = self.server.script
-        status, payload = script[min(len(self.server.requests) - 1, len(script) - 1)]
+        status, payload, *headers = script[
+            min(len(self.server.requests) - 1, len(script) - 1)
+        ]
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -36,14 +41,18 @@ class _Handler(BaseHTTPRequestHandler):
 def stub_server(script):
     """Serve scripted (status, payload) responses; repeats the last one.
 
-    Payloads may be dicts (sent as JSON) or raw bytes. Yields the server
-    object; `server.url` is the endpoint and `server.requests` the log.
+    Payloads may be dicts (sent as JSON) or raw bytes; a third item, a dict,
+    adds response headers. Yields the server object; `server.url` is the
+    endpoint and `server.requests` the log.
     """
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.script = list(script)
     server.requests = []
     server.url = f"http://127.0.0.1:{server.server_port}/generate"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval lets shutdown() return in milliseconds.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield server

@@ -89,6 +89,63 @@ def test_not_a_wav_rejected(tmp_path):
         read_wav(path)
 
 
+# KSDATAFORMAT_SUBTYPE_PCM and _IEEE_FLOAT, as they are stored in a file.
+PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+FLOAT_GUID = bytes.fromhex("0300000000001000800000aa00389b71")
+
+
+def _extensible_twin(path, out, channels=1, valid_bits=16, cb_size=22,
+                     subformat=PCM_GUID, fmt_size=40):
+    """Rewrite a canonical WAV with a WAVE_FORMAT_EXTENSIBLE fmt chunk."""
+    data = path.read_bytes()
+    _, _, rate, byte_rate, align, bits = struct.unpack_from("<HHIIHH", data, 20)
+    fmt = struct.pack("<HHIIHH", 0xFFFE, channels, rate, byte_rate, align, bits)
+    fmt += struct.pack("<HHI", cb_size, valid_bits, 0x4) + subformat
+    fmt = fmt[:fmt_size]
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + data[36:]
+    out.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return out
+
+
+def test_extensible_pcm_reads_like_its_canonical_twin(tmp_path):
+    canonical = tmp_path / "canonical.wav"
+    write_wav(tone_clip(523, 0.2, rate=22050), canonical)
+    twin = _extensible_twin(canonical, tmp_path / "extensible.wav")
+    assert len(twin.read_bytes()) == len(canonical.read_bytes()) + 24
+    clip, expected = read_wav(twin), read_wav(canonical)
+    assert clip.sample_rate == expected.sample_rate == 22050
+    assert np.array_equal(clip.samples, expected.samples)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"subformat": FLOAT_GUID},
+         "subformat=00000003-0000-0010-8000-00aa00389b71, want PCM"),
+        ({"channels": 2}, "channels=2"),
+        ({"valid_bits": 12}, "valid_bits_per_sample=12, want 16"),
+    ],
+)
+def test_extensible_other_than_pcm_mono_16_bit_rejected(tmp_path, fields, message):
+    canonical = tmp_path / "canonical.wav"
+    write_wav(tone_clip(440, 0.1), canonical)
+    path = _extensible_twin(canonical, tmp_path / "x.wav", **fields)
+    with pytest.raises(UnsupportedWavError, match=message):
+        read_wav(path)
+
+
+@pytest.mark.parametrize(
+    "fields", [{"fmt_size": 16}, {"fmt_size": 18, "cb_size": 0},
+               {"cb_size": 10}, {"fmt_size": 30}],
+)
+def test_extensible_header_too_short_rejected(tmp_path, fields):
+    canonical = tmp_path / "canonical.wav"
+    write_wav(tone_clip(440, 0.1), canonical)
+    path = _extensible_twin(canonical, tmp_path / "x.wav", **fields)
+    with pytest.raises(WavParseError, match="extensible fmt chunk truncated"):
+        read_wav(path)
+
+
 class TestConcat:
     def test_length_arithmetic(self):
         clips = [tone_clip(440, 1.0, 16000), tone_clip(660, 2.0, 16000)]

@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import corpusforge
 from corpusforge import metrics
-from corpusforge.cli import COMMANDS, OUT_DIR, main
+from corpusforge.cli import COMMANDS, OUT_DIR, build_parser, main
 
 from stubserver import stub_server
 
@@ -510,6 +513,29 @@ class TestSplitCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "rep, shown", [("2.7", "2.7"), ("true", "True"), ("Infinity", "inf"),
+                       ("NaN", "nan")],
+    )
+    def test_jsonl_non_integer_repetition_index_is_data_error(
+        self, tmp_path, capsys, rep, shown
+    ):
+        manifest = tmp_path / "m.jsonl"
+        rows = [
+            '{"speaker_id": "spk%d", "session_id": "s1", "block_id": "b1", '
+            '"microphone_id": "m1", "word": "hund", "repetition_index": %s, '
+            '"audio_path": "a.wav", "transcript": "hund"}' % (i, rep)
+            for i in (1, 2)
+        ]
+        manifest.write_text("\n".join(rows) + "\n")
+        code = run_cli(
+            "split", "--manifest", manifest, "--policy", "strict",
+            "--ratio", 0.5, "--seed", 1, "--out-dir", tmp_path / "out",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"row 1: repetition_index must be an integer, got {shown}\n" in err
+
 
 class TestEvalCommand:
     def test_eval_report(self, toy_corpus, tmp_path, capsys):
@@ -598,6 +624,67 @@ class TestUsage:
 
     def test_bad_flag_value_is_usage_error(self, toy_corpus):
         assert run_cli("split", "--ratio", "not-a-number") == 1
+
+
+class TestParser:
+    """main() adds options only for the invoked path; nothing else may show."""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        assert run_cli("--help") == 0
+        flat = " ".join(capsys.readouterr().out.split())
+        for path, (help_text, _) in COMMANDS.items():
+            if " " not in path:
+                assert f" {path} {help_text} " in flat
+        assert " rechain build sentence plans from recorded words " in flat
+
+    @pytest.mark.parametrize("path", list(COMMANDS))
+    def test_path_help_shows_every_flag(self, capsys, path):
+        assert run_cli(*path.split(), "--help") == 0
+        out = capsys.readouterr().out
+        flat = " ".join(out.split())
+        for opt in (*COMMANDS[path][1], OUT_DIR):
+            assert f"{opt.flag} " in out
+            assert f"{opt.help} (config: {opt.config_key}" in flat
+        assert "--config CONFIG" in out
+        # The same text as from the parser with every path's options.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*path.split(), "--help"])
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("path", list(COMMANDS))
+    def test_path_parses_like_the_full_parser(self, path):
+        argv = [*path.split(), "--out-dir", "o", "--config", "c.json"]
+        for opt in COMMANDS[path][1]:
+            argv += [opt.flag, opt.choices[0] if opt.choices else "1"]
+        full = build_parser().parse_args(argv)
+        assert vars(build_parser(argv).parse_args(argv)) == vars(full)
+        assert full.func.__name__ == f"cmd_{path.split()[0]}"
+
+    def test_only_the_named_path_gets_options(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser(["select"]).parse_args(["eval", "--pairs", "p.jsonl"])
+        assert "unrecognized arguments: --pairs p.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["rechain", "bogus"]])
+    def test_unknown_command_or_mode_is_invalid_choice(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["corpusforge", "corpusforge.cli"])
+def test_import_loads_only_the_standard_library(module):
+    # numpy is loaded only by the audio and long-row DP functions that use
+    # it, and the HTTP client only by `rechain llm`.
+    heavy = ["numpy", "requests", "urllib.request", "http.client"]
+    src = str(Path(corpusforge.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+        f"print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_run_json_contents(toy_corpus, tmp_path):

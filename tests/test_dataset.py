@@ -125,6 +125,26 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="repetition_index"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "rep, expected",
+        [("2", 2), ("2.0", 2), ("2.7", None), ("true", None), ("Infinity", None),
+         ("-Infinity", None), ("NaN", None)],
+    )
+    def test_jsonl_repetition_index_follows_the_integer_rule(
+        self, tmp_path, rep, expected
+    ):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"speaker_id": "spk1", "session_id": "s1", "block_id": "b1", '
+            '"microphone_id": "m1", "word": "hund", "audio_path": "a.wav", '
+            f'"transcript": "hund", "repetition_index": {rep}}}\n'
+        )
+        if expected is None:
+            with pytest.raises(ManifestError, match="must be an integer"):
+                load_manifest(path)
+        else:
+            assert load_manifest(path).entries[0].repetition_index == expected
+
     def test_empty_manifest_is_error(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(HEADER + "\n")

@@ -1,17 +1,22 @@
 import io
+import tempfile
+import unicodedata
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusforge.lexicon import (
     LexiconError,
     OovWordError,
     biphones,
+    load_lexicon,
     parse_lexicon,
     phonemize,
     serialize_lexicon,
 )
+from corpusforge.textnorm import normalize_word
 
 
 def parse(text: str):
@@ -102,3 +107,45 @@ def test_serialize_parse_round_trip(entries):
         "".join(f"{w}\t{' '.join(seq)}\n" for w, seq in entries.items())
     )
     assert parse(serialize_lexicon(lex)).entries == lex.entries
+
+
+# Words mix NFC and NFD spellings ("ü" and "u" + U+0308), case, padding,
+# inner spaces, "#" and a line separator that only str.splitlines breaks on.
+# Phonemes are kept verbatim, so an NFD one stays NFD.
+WORD_CHARS = ["a", "b", "Ä", "\u00fc", "u\u0308", "\u00df", "\u0259", " ", "#", "\u2028"]
+PHONEMES = ["a", "\u028a", "a\u02d0", "\u0259", "p#", "u\u0308"]
+
+
+@st.composite
+def lexicon_lines(draw):
+    """(raw TSV lines, the entries a loader must give), no two words alike."""
+    entries, lines = {}, []
+    for _ in range(draw(st.integers(0, 8))):
+        raw = "".join(draw(st.lists(st.sampled_from(WORD_CHARS), max_size=6)))
+        word = normalize_word(raw)
+        if not word or word.startswith("#") or word in entries:
+            continue
+        pron = draw(st.lists(st.sampled_from(PHONEMES), min_size=1, max_size=5))
+        entries[word] = tuple(pron)
+        sep = draw(st.sampled_from([" ", "  ", "\t"]))
+        lines.append(f"{raw}\t{sep.join(pron)}")
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+    return lines, entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(lexicon_lines(), st.sampled_from(["\n", "\r\n"]))
+def test_lexicon_file_round_trip(generated, newline):
+    lines, entries = generated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lexicon.tsv"
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        lexicon = load_lexicon(path)
+        assert lexicon.entries == entries
+        assert all(unicodedata.is_normalized("NFC", w) for w in lexicon.entries)
+        text = serialize_lexicon(lexicon)
+        path.write_bytes(text.replace("\n", newline).encode())
+        assert load_lexicon(path).entries == entries
+    assert parse(text).entries == entries
+    assert serialize_lexicon(parse(text)) == text

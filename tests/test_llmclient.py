@@ -1,8 +1,15 @@
+import dataclasses
+import datetime
 import json
+import socket
+import threading
+from contextlib import contextmanager
+from email.utils import format_datetime
 
 import pytest
 
 from corpusforge.llmclient import (
+    RETRY_AFTER_MAX_S,
     GenerationRequest,
     LlmConfigError,
     LlmEmptyResultError,
@@ -45,6 +52,39 @@ def no_sleep(_):
     pass
 
 
+@contextmanager
+def raw_server(reply: bytes | None):
+    """A TCP endpoint that answers each connection with `reply` and closes it,
+    or, with None, accepts and never answers. Yields its URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    held, stop = [], threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            if reply is None:
+                held.append(conn)
+                continue
+            with conn:
+                conn.recv(65536)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/generate"
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        for conn in held:
+            conn.close()
+        listener.close()
+
+
 class TestGenerateSentences:
     def test_splits_lines(self):
         with stub_server([(200, {"text": "der hund bellt\ndie katze schläft"})]) as srv:
@@ -59,6 +99,14 @@ class TestGenerateSentences:
         assert "3 short sentences" in body["prompt"]
         assert "der, hund, bellt" in body["prompt"]
         assert srv.requests[0]["authorization"] == "Bearer sekret"
+
+    def test_request_body_bytes_and_content_type(self):
+        with stub_server([(200, {"text": "der hund"})]) as srv:
+            request = make_request(srv.url)
+            generate_sentences(request, sleep=no_sleep)
+        expected = {"model": "stub-model", "prompt": request.prompt}
+        assert srv.requests[0]["body"] == json.dumps(expected).encode()
+        assert srv.requests[0]["content_type"] == "application/json"
 
     def test_missing_api_key(self, monkeypatch):
         monkeypatch.delenv("CORPUSFORGE_LLM_KEY")
@@ -96,6 +144,23 @@ class TestGenerateSentences:
             generate_sentences(request, sleep=sleeps.append)
         assert sleeps == [1.0, 2.0]
 
+    @pytest.mark.parametrize("reply", [b"garbage\r\n\r\n", None])
+    def test_broken_or_silent_server_retried_as_network_error(self, reply):
+        # A reply that is not HTTP raises an HTTPException, no reply at all
+        # a timeout; both count as network errors.
+        sleeps = []
+        with raw_server(reply) as url:
+            request = dataclasses.replace(make_request(url), timeout_s=0.1)
+            with pytest.raises(LlmServiceError, match="network error") as exc_info:
+                generate_sentences(request, sleep=sleeps.append)
+        assert exc_info.value.attempts == 3
+        assert sleeps == [1.0, 2.0]
+
+    @pytest.mark.parametrize("url", ["file:///etc/hostname", "localhost:8080/x", 5])
+    def test_endpoint_must_be_http(self, url):
+        with pytest.raises(LlmConfigError, match="endpoint_url"):
+            make_request(url)
+
     def test_empty_body_is_empty_result(self):
         with stub_server([(200, {"text": "\n  \n"})]) as srv:
             with pytest.raises(LlmEmptyResultError):
@@ -120,6 +185,62 @@ class TestGenerateSentences:
                 make_request(srv.url, text_path="choices.0.text"), sleep=no_sleep
             )
         assert result.sentences == ("der hund bellt",)
+
+
+class TestRetryAfter:
+    """429 is retried like a 5xx; Retry-After sets the wait before the next try."""
+
+    @pytest.mark.parametrize("status", [429, 503])
+    @pytest.mark.parametrize(
+        "header, wait", [("7", 7.0), ("0", 0.0), ("86400", RETRY_AFTER_MAX_S)]
+    )
+    def test_delay_seconds(self, status, header, wait):
+        sleeps = []
+        script = [(status, {}, {"Retry-After": header}), (200, {"text": "der hund"})]
+        with stub_server(script) as srv:
+            result = generate_sentences(make_request(srv.url), sleep=sleeps.append)
+            assert len(srv.requests) == 2
+        assert result.sentences == ("der hund",)
+        assert sleeps == [wait]
+
+    def test_http_date(self):
+        # RFC 9110 §5.6.7: IMF-fixdate, and the obsolete RFC 850 and asctime
+        # forms (the last has no zone and means UTC).
+        soon = datetime.datetime.now(datetime.timezone.utc) + datetime.timedelta(
+            seconds=20
+        )
+        headers = [
+            format_datetime(soon, usegmt=True),
+            "Sunday, 06-Nov-94 08:49:37 GMT",
+            "Sun Nov  6 08:49:37 1994",
+            "Fri, 31 Dec 2100 23:59:59 GMT",
+        ]
+        sleeps = []
+        for header in headers:
+            script = [(429, {}, {"Retry-After": header}), (200, {"text": "x"})]
+            with stub_server(script) as srv:
+                generate_sentences(make_request(srv.url), sleep=sleeps.append)
+        # The header has whole seconds, so the first wait is just under 20.
+        assert 18.0 < sleeps[0] <= 20.0
+        assert sleeps[1:] == [0.0, 0.0, RETRY_AFTER_MAX_S]
+
+    @pytest.mark.parametrize("header", ["soon", "1.5", "-3", ""])
+    def test_unparseable_header_falls_back_to_backoff(self, header):
+        sleeps = []
+        script = [(429, {}, {"Retry-After": header})]
+        with stub_server([*script, *script, (200, {"text": "der hund"})]) as srv:
+            generate_sentences(make_request(srv.url), sleep=sleeps.append)
+        assert sleeps == [1.0, 2.0]
+
+    def test_429_on_every_attempt_gives_up(self):
+        sleeps = []
+        with stub_server([(429, {"err": "slow down"}, {"Retry-After": "3"})]) as srv:
+            with pytest.raises(LlmServiceError, match="HTTP 429") as exc_info:
+                generate_sentences(make_request(srv.url), sleep=sleeps.append)
+            assert len(srv.requests) == 3
+        assert exc_info.value.attempts == 3
+        assert sleeps == [3.0, 3.0]
+        assert "slow down" in str(exc_info.value)
 
 
 class TestGenerationRequest:

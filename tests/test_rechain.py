@@ -1,9 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusforge.rechain import (
+    PROVENANCES,
     OovSentenceError,
     PlanError,
     SentencePlan,
@@ -131,3 +136,37 @@ def test_inventory_from_manifest_keeps_file_order(toy_corpus):
     inventory = WordInventory.from_manifest(load_manifest(toy_corpus / "manifest.csv"))
     assert list(inventory.items)[:2] == ["der", "hund"]
     assert inventory.items["der"] == ("der.wav",)
+
+
+# Plan strings are stored verbatim: NFC and NFD spellings of "ü", escapes
+# JSON must write ("\n", "\r", '"', "\\", NUL) and characters it writes raw
+# that str.splitlines would break a line on (U+0085, U+2028).
+PLAN_TEXT = st.lists(
+    st.sampled_from(["a", "\u00fc", "u\u0308", "\n", "\r", '"', "\\", "\x00",
+                     "\x85", "\u2028", "\U0001f600", "/", " "]),
+    max_size=6,
+).map("".join) | st.text(max_size=4)
+
+
+@st.composite
+def sentence_plans(draw):
+    provenance = draw(st.sampled_from(PROVENANCES))
+    return SentencePlan(
+        words=tuple(draw(st.lists(st.tuples(PLAN_TEXT, PLAN_TEXT),
+                                  min_size=1, max_size=4))),
+        provenance=provenance,
+        seed=draw(st.integers(0, 2**32 - 1)) if provenance == "random" else None,
+        source_text=draw(st.none() | PLAN_TEXT),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sentence_plans(), max_size=4), st.sampled_from(["\n", "\r\n"]))
+def test_write_read_plans_round_trip(plans, newline):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plans.jsonl"
+        write_plans(plans, path)
+        data = path.read_bytes()
+        assert data.count(b"\n") == len(plans)  # one line per plan
+        path.write_bytes(data.replace(b"\n", newline.encode()))
+        assert read_plans(path) == plans
