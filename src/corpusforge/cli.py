@@ -40,7 +40,7 @@ from .dataset import (
     split,
     write_assignment,
 )
-from .errors import CorpusForgeError
+from .errors import CorpusForgeError, strict_int
 from .lexicon import load_lexicon
 from .llmclient import (
     GenerationRequest,
@@ -235,12 +235,7 @@ def _config_value(config: dict, key: str):
 
 def _int_value(value, name: str, minimum: int | None = None) -> int:
     try:
-        # int() would take a config's 2.9 or true as 2 or 1.
-        if isinstance(value, bool) or (
-            isinstance(value, float) and not value.is_integer()
-        ):
-            raise ValueError(value)
-        number = int(value)
+        number = strict_int(value)
     except (TypeError, ValueError):
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:

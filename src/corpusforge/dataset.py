@@ -27,7 +27,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import CorpusForgeError
+from .errors import CorpusForgeError, strict_int
 from .textnorm import normalize_word
 
 logger = logging.getLogger(__name__)
@@ -109,14 +109,8 @@ def _build_manifest(
                 )
         speaker, session, block, mic, word, rep, audio, transcript = v
         try:
-            # int() would take a JSON 2.7 or true as 2 or 1, and end in an
-            # OverflowError on Infinity; a CSV cell is always a str.
-            if type(rep) is not str and (
-                isinstance(rep, bool)
-                or (isinstance(rep, float) and not rep.is_integer())
-            ):
-                raise ValueError(rep)
-            rep = int(rep)
+            # A CSV cell is always a str; only a JSON value needs the checks.
+            rep = int(rep) if type(rep) is str else strict_int(rep)
         except (TypeError, ValueError):
             raise ManifestError(
                 f"{source}: row {lineno}: repetition_index must be an integer, "

@@ -145,21 +145,23 @@ def generate_sentences(
         raise LlmConfigError(f"API key missing: set {API_KEY_ENV}")
     body = json.dumps({"model": request.model_name, "prompt": request.prompt})
     post = urllib.request.Request(
-        request.endpoint_url,
+        _quoted_url(request.endpoint_url),
         data=body.encode(),
-        headers={
-            "Authorization": f"Bearer {api_key}",
-            "Content-Type": "application/json",  # urllib would send a form type
-        },
+        # urllib would send a form type.
+        headers={"Content-Type": "application/json"},
         method="POST",
     )
+    # urllib copies ordinary headers into a redirected request, whatever its
+    # host; _RedirectHandler passes the key on only to the same origin.
+    post.add_unredirected_header("Authorization", f"Bearer {api_key}")
+    opener = urllib.request.build_opener(_redirect_handler())
 
     last_failure = ""
     for attempt in range(1, MAX_ATTEMPTS + 1):
         wait = None
         try:
             try:
-                response = urllib.request.urlopen(post, timeout=request.timeout_s)
+                response = opener.open(post, timeout=request.timeout_s)
             except urllib.error.HTTPError as exc:
                 response = exc  # an error status still has headers and a body
             with response:
@@ -182,6 +184,53 @@ def generate_sentences(
         f"giving up after {MAX_ATTEMPTS} attempts; last failure: {last_failure}",
         attempts=MAX_ATTEMPTS,
     )
+
+
+def _quoted_url(url: str) -> str:
+    """`url` with its path and query percent-encoded where HTTP needs it.
+
+    http.client sends only ASCII, so a path like ``/générer`` goes out as
+    UTF-8 escapes; reserved characters and existing escapes are kept.
+    """
+    parts = urllib.parse.urlsplit(url)
+    safe = "!#$%&'()*+,/:;=?@[]~"
+    return parts._replace(
+        path=urllib.parse.quote(parts.path, safe=safe),
+        query=urllib.parse.quote(parts.query, safe=safe),
+    ).geturl()
+
+
+def _same_origin(a: str, b: str) -> bool:
+    a, b = urllib.parse.urlsplit(a), urllib.parse.urlsplit(b)
+    return (a.scheme, a.netloc.lower()) == (b.scheme, b.netloc.lower())
+
+
+def _redirect_handler():
+    """A urllib redirect handler that follows redirects as ``requests`` did.
+
+    A 307 or 308 sends the same POST again, which urllib alone refuses; a
+    301, 302 or 303 becomes a GET without a body. The Authorization header
+    goes along only when the new URL keeps the scheme, host and port.
+    """
+    import urllib.request
+
+    class RedirectHandler(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if code in (307, 308):
+                new = urllib.request.Request(
+                    newurl.replace(" ", "%20"),
+                    data=req.data,
+                    headers=req.headers,
+                    method=req.get_method(),
+                )
+            else:
+                new = super().redirect_request(req, fp, code, msg, headers, newurl)
+            key = req.unredirected_hdrs.get("Authorization")
+            if new is not None and key and _same_origin(req.full_url, new.full_url):
+                new.add_unredirected_header("Authorization", key)
+            return new
+
+    return RedirectHandler()
 
 
 def _retry_after_s(value: str | None) -> float | None:

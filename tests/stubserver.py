@@ -14,6 +14,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         self.server.requests.append(
             {
+                "method": self.command,
                 "path": self.path,
                 "body": body,
                 "authorization": self.headers.get("Authorization"),
@@ -32,6 +33,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+
+    do_GET = do_POST  # a 301, 302 or 303 redirect turns the POST into a GET
 
     def log_message(self, *args):
         pass

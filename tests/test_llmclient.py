@@ -161,6 +161,50 @@ class TestGenerateSentences:
         with pytest.raises(LlmConfigError, match="endpoint_url"):
             make_request(url)
 
+    def test_non_ascii_path_is_percent_encoded(self):
+        with stub_server([(200, {"text": "der hund"})]) as srv:
+            request = make_request(srv.url + "/générer?q=é x&n=%41")
+            generate_sentences(request, sleep=no_sleep)
+        path = srv.requests[0]["path"]
+        assert path == "/generate/g%C3%A9n%C3%A9rer?q=%C3%A9%20x&n=%41"
+
+    @pytest.mark.parametrize("status", [301, 302, 303])
+    def test_redirect_to_another_origin_gets_no_key(self, status):
+        # As with requests, the POST turns into a GET without a body.
+        with stub_server([(200, {"text": "der hund"})]) as other:
+            with stub_server([(status, b"", {"Location": other.url})]) as srv:
+                result = generate_sentences(make_request(srv.url), sleep=no_sleep)
+        assert result.sentences == ("der hund",)
+        assert srv.requests[0]["authorization"] == "Bearer sekret"
+        assert [(r["method"], r["body"]) for r in other.requests] == [("GET", b"")]
+        assert other.requests[0]["authorization"] is None
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_307_and_308_send_the_same_post_again(self, status):
+        # A same-origin redirect, such as an added trailing slash, keeps the key.
+        script = [
+            (status, b"", {"Location": "/generate/"}),
+            (200, {"text": "der hund"}),
+        ]
+        with stub_server(script) as srv:
+            result = generate_sentences(make_request(srv.url), sleep=no_sleep)
+        assert result.sentences == ("der hund",)
+        first, second = srv.requests
+        assert second["path"] == "/generate/"
+        for r in (first, second):
+            assert r["method"] == "POST"
+            assert r["body"] == first["body"]
+            assert r["content_type"] == "application/json"
+            assert r["authorization"] == "Bearer sekret"
+
+    def test_307_to_another_origin_gets_no_key(self):
+        with stub_server([(200, {"text": "der hund"})]) as other:
+            with stub_server([(307, b"", {"Location": other.url})]) as srv:
+                generate_sentences(make_request(srv.url), sleep=no_sleep)
+        assert other.requests[0]["method"] == "POST"
+        assert other.requests[0]["body"] == srv.requests[0]["body"]
+        assert other.requests[0]["authorization"] is None
+
     def test_empty_body_is_empty_result(self):
         with stub_server([(200, {"text": "\n  \n"})]) as srv:
             with pytest.raises(LlmEmptyResultError):
