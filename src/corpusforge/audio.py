@@ -46,7 +46,6 @@ class AudioClip:
 
     samples: np.ndarray  # dtype int16, 1-D
     sample_rate: int
-    source_path: str = ""
 
     def __post_init__(self):
         import numpy as np
@@ -130,7 +129,7 @@ def read_wav(path: str | Path) -> AudioClip:
     import numpy as np
 
     samples = np.frombuffer(pcm_bytes, dtype="<i2").astype(np.int16)
-    return AudioClip(samples=samples, sample_rate=sample_rate, source_path=str(path))
+    return AudioClip(samples=samples, sample_rate=sample_rate)
 
 
 def _check_extensible(path, fmt: bytes, bits: int) -> None:

@@ -12,11 +12,11 @@ Subcommands cover the whole corpus-personalization workflow::
 
 Every option is declared once, in :data:`COMMANDS`. The parser takes its
 flags from there, and one resolver checks every value: flag first, then
-the JSON ``--config``, then the default. Every successful run writes
-``run.json`` (tool version, effective config and its hash, seeds, input
-digests) next to its outputs, and identical config plus seeds reproduce
-byte-identical outputs. Exit codes: 0 ok, 1 usage, 2 data error,
-3 external service error.
+the JSON ``--config``, then the default. :func:`main` owns each run: it
+checks the options and creates the out-dir, the ``cmd_*`` handler writes
+the outputs, and only then ``run.json`` records the tool version, config
+and its hash, seeds and input digests. Identical config plus seeds give
+byte-identical outputs. Exit codes: 0 ok, 1 usage, 2 data, 3 service error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import json
 import logging
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -41,13 +42,13 @@ from .dataset import (
     write_assignment,
 )
 from .errors import CorpusForgeError, strict_int
+from .jsonl import read_jsonl, write_jsonl
 from .lexicon import load_lexicon
 from .llmclient import (
-    GenerationRequest,
     LlmClientError,
     LlmConfigError,
     generate_validated_plans,
-    load_client_config,
+    load_request,
 )
 from .metrics import EmptyReferenceError, EvalPair, edit_rate, pool_summaries
 from .rechain import (
@@ -327,27 +328,22 @@ def _write_run_manifest(run: _Run) -> None:
     )
 
 
-def _read_word_list(path: Path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        words = [line.strip() for line in f]
-    return [w for w in words if w and not w.startswith("#")]
-
-
-def _read_sentences(path: Path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        return [line.strip() for line in f if line.strip()]
-
-
-def cmd_select(args) -> int:
-    run = _prepare(args)
-    out_dir = run.out_dir
+def _listed_pool(run: _Run, name: str, what: str):
+    """The word list `name` as read, and its pool and OOV words over the lexicon."""
     lexicon = load_lexicon(run.inputs["lexicon"])
-    corpus_words = _read_word_list(run.inputs["corpus"])
-    pool, skipped = pool_from_lexicon(corpus_words, lexicon)
+    with open(run.inputs[name], encoding="utf-8") as f:
+        words = [w for w in map(str.strip, f) if w and not w.startswith("#")]
+    pool, skipped = pool_from_lexicon(words, lexicon)
     if not len(pool):
-        raise CorpusForgeError("every corpus word is missing from the lexicon")
+        raise CorpusForgeError(f"every {what} is missing from the lexicon")
     if skipped:
-        logger.warning("%d corpus word(s) not in the lexicon, skipped", len(skipped))
+        logger.warning("%d %s(s) not in the lexicon, skipped", len(skipped), what)
+    return words, pool, skipped
+
+
+def cmd_select(run: _Run) -> None:
+    out_dir = run.out_dir
+    _, pool, skipped = _listed_pool(run, "corpus", "corpus word")
 
     gbc_state = gbc_select(pool, run.config["k"])
     gbc_words = gbc_state.selected_words
@@ -375,34 +371,25 @@ def cmd_select(args) -> int:
     _write_json(
         out_dir / "coverage.json",
         {
-            "gbc": coverage_report(gbc_state).to_dict(),
-            "pwps": coverage_report(pwps_state).to_dict() if pwps_state else None,
-            "combined": coverage_report(combined).to_dict(),
+            "gbc": asdict(coverage_report(gbc_state)),
+            "pwps": asdict(coverage_report(pwps_state)) if pwps_state else None,
+            "combined": asdict(coverage_report(combined)),
             "oov_skipped": len(skipped),
         },
     )
-    _write_run_manifest(run)
-    return EXIT_OK
 
 
-def cmd_rechain(args) -> int:
-    run = _prepare(args)
-    out_dir = run.out_dir
+def cmd_rechain(run: _Run) -> None:
     inventory = WordInventory.from_manifest(load_manifest(run.inputs["manifest"]))
 
     rejected: list[tuple[str, list[str]]] = []
-    if args.mode == "manual":
-        sentences = _read_sentences(run.inputs["sentences"])
+    if run.config["mode"] == "manual":
+        with open(run.inputs["sentences"], encoding="utf-8") as f:
+            sentences = [line.strip() for line in f if line.strip()]
         plans, rejected = batch_plans(sentences, inventory, provenance="manual")
-    elif args.mode == "llm":
-        llm_config = load_client_config(run.inputs["llm_config"])
-        request = GenerationRequest(
-            inventory_words=tuple(inventory.items),
-            sentence_count=run.config["count"],
-            prompt_template=llm_config["prompt_template"],
-            endpoint_url=llm_config["endpoint_url"],
-            model_name=llm_config["model_name"],
-            response_text_path=llm_config.get("response_text_path", "text"),
+    elif run.config["mode"] == "llm":
+        request = load_request(
+            run.inputs["llm_config"], tuple(inventory.items), run.config["count"]
         )
         plans, rejected = generate_validated_plans(request, inventory)
     else:  # random
@@ -414,19 +401,16 @@ def cmd_rechain(args) -> int:
             length = m if m is not None else master.randint(3, 8)
             plans.append(plan_random(inventory, length, master.getrandbits(32)))
 
-    write_plans(plans, out_dir / "plans.jsonl")
-    with open(out_dir / "rejected.jsonl", "w", encoding="utf-8") as f:
-        for sentence, missing in rejected:
-            record = {"sentence": sentence, "missing": missing}
-            f.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_plans(plans, run.out_dir / "plans.jsonl")
+    write_jsonl(
+        run.out_dir / "rejected.jsonl",
+        ({"sentence": sentence, "missing": missing} for sentence, missing in rejected),
+    )
     if rejected:
         logger.warning("%d sentence(s) rejected, see rejected.jsonl", len(rejected))
-    _write_run_manifest(run)
-    return EXIT_OK
 
 
-def cmd_concat(args) -> int:
-    run = _prepare(args)
+def cmd_concat(run: _Run) -> None:
     out_dir = run.out_dir
     spec = ConcatSpec(gap_ms=run.config["gap_ms"], fade_ms=run.config["fade_ms"])
     audio_root = Path(run.config["audio_root"])
@@ -448,15 +432,10 @@ def cmd_concat(args) -> int:
                 "sample_rate": clip.sample_rate,
             }
         )
-    with open(out_dir / "concat_manifest.jsonl", "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(json.dumps(record, ensure_ascii=False) + "\n")
-    _write_run_manifest(run)
-    return EXIT_OK
+    write_jsonl(out_dir / "concat_manifest.jsonl", records)
 
 
-def cmd_split(args) -> int:
-    run = _prepare(args)
+def cmd_split(run: _Run) -> None:
     manifest = load_manifest(run.inputs["manifest"])
     assignment = split(
         manifest, run.config["policy"], run.config["train_ratio"], run.seeds["split"]
@@ -468,41 +447,27 @@ def cmd_split(args) -> int:
         {
             "seed": assignment.seed,
             "train_ratio": assignment.train_ratio,
-            **audit.to_dict(),
+            **asdict(audit),
             "group_sides": assignment.group_key_audit,
         },
     )
-    _write_run_manifest(run)
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    run = _prepare(args)
+def cmd_eval(run: _Run) -> None:
     pairs_path = run.inputs["pairs"]
     mode = run.config["mode"]
     token_mode = {"wer": "word", "cer": "char"}[mode]
 
     ids: list[str] = []
     pairs: list[EvalPair] = []
-    with open(pairs_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                pair = EvalPair(
-                    reference=record["reference"], hypothesis=record["hypothesis"]
-                )
-            except json.JSONDecodeError as exc:
-                raise CorpusForgeError(
-                    f"{pairs_path}: line {lineno}: invalid JSON: {exc}"
-                ) from None
-            except (KeyError, TypeError) as exc:
-                raise CorpusForgeError(
-                    f"{pairs_path}: line {lineno}: missing field {exc}"
-                ) from None
-            ids.append(str(record.get("id", lineno)))
-            pairs.append(pair)
+    for lineno, record in read_jsonl(pairs_path, CorpusForgeError):
+        pair = EvalPair(record.get("reference"), record.get("hypothesis"))
+        if not (isinstance(pair.reference, str) and isinstance(pair.hypothesis, str)):
+            raise CorpusForgeError(
+                f"{pairs_path}: row {lineno}: reference and hypothesis must be strings"
+            )
+        ids.append(str(record.get("id", lineno)))
+        pairs.append(pair)
     if not pairs:
         raise CorpusForgeError(f"{pairs_path}: no evaluation pairs")
 
@@ -519,19 +484,10 @@ def cmd_eval(args) -> int:
 
     report = {"mode": mode, "pairs": per_pair, "pooled": pooled.to_dict()}
     print(_write_json(run.out_dir / "eval_report.json", report))
-    _write_run_manifest(run)
-    return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    run = _prepare(args)
-    lexicon = load_lexicon(run.inputs["lexicon"])
-    words = _read_word_list(run.inputs["words"])
-    pool, skipped = pool_from_lexicon(words, lexicon)
-    if not len(pool):
-        raise CorpusForgeError("every listed word is missing from the lexicon")
-    if skipped:
-        logger.warning("%d word(s) not in the lexicon, skipped", len(skipped))
+def cmd_report(run: _Run) -> None:
+    words, pool, skipped = _listed_pool(run, "words", "listed word")
     # Replay in file order, not pool order.
     pool_words = {c.word for c in pool.words}
     ordered = [
@@ -540,11 +496,9 @@ def cmd_report(args) -> int:
         if w in pool_words
     ]
     state = replay_selection(pool, ordered)
-    report = coverage_report(state).to_dict()
+    report = asdict(coverage_report(state))
     report["oov_skipped"] = len(skipped)
     print(_write_json(run.out_dir / "coverage_report.json", report))
-    _write_run_manifest(run)
-    return EXIT_OK
 
 
 def _command_path(argv: Sequence[str]) -> str | None:
@@ -620,7 +574,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        run = _prepare(args)
+        args.func(run)
+        _write_run_manifest(run)
     except (UsageError, LlmConfigError) as exc:
         print(f"corpusforge: error: {exc}", file=sys.stderr)
         print("run 'corpusforge <command> --help' for usage", file=sys.stderr)
@@ -631,6 +587,7 @@ def main(argv=None) -> int:
     except CorpusForgeError as exc:
         print(f"corpusforge: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return EXIT_OK
 
 
 def run() -> None:

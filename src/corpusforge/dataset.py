@@ -17,7 +17,6 @@ utterance) always land on the same side:
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import random
 from collections import Counter
@@ -28,6 +27,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import CorpusForgeError, strict_int
+from .jsonl import read_jsonl
 from .textnorm import normalize_word
 
 logger = logging.getLogger(__name__)
@@ -139,18 +139,10 @@ def _build_manifest(
     return RecordingManifest(tuple(entries))
 
 
-def _jsonl_rows(f, path: Path) -> tuple[list[int], list[list]]:
+def _jsonl_rows(path: Path) -> tuple[list[int], list[list]]:
     """Line numbers and value lists of the non-blank lines."""
     linenos, rows = [], []
-    for lineno, line in enumerate(f, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}: row {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ManifestError(f"{path}: row {lineno}: expected a JSON object")
+    for lineno, record in read_jsonl(path, ManifestError):
         extra = record.keys() - _COLUMN_SET
         if extra:
             logger.warning(
@@ -199,8 +191,7 @@ def load_manifest(path: str | Path) -> RecordingManifest:
     """
     path = Path(path)
     if path.suffix.lower() in (".jsonl", ".json"):
-        with open(path, encoding="utf-8-sig") as f:
-            linenos, rows = _jsonl_rows(f, path)
+        linenos, rows = _jsonl_rows(path)
     else:
         with open(path, encoding="utf-8-sig", newline="") as f:
             linenos, rows = _csv_rows(f, path)
@@ -307,17 +298,6 @@ class LeakageAudit:
     realized_train_ratio: float
     spanning_group_keys: int
     vocabulary_overlap: int
-
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "total_entries": self.total_entries,
-            "train_entries": self.train_entries,
-            "test_entries": self.test_entries,
-            "realized_train_ratio": self.realized_train_ratio,
-            "spanning_group_keys": self.spanning_group_keys,
-            "vocabulary_overlap": self.vocabulary_overlap,
-        }
 
 
 def audit_leakage(

@@ -94,11 +94,22 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 
 def serialize_lexicon(lexicon: Lexicon) -> str:
-    """Render a lexicon back to TSV text (sorted by word, round-trips)."""
-    lines = [
-        f"{word}\t{' '.join(phonemes)}"
-        for word, phonemes in sorted(lexicon.entries.items())
-    ]
+    """Render a lexicon back to TSV text (sorted by word, round-trips).
+
+    An entry that :func:`parse_lexicon` would read back differently raises
+    :class:`LexiconError`: a word not in :func:`normalize_word` form, holding
+    a tab or line break or starting with ``#``, or a phoneme that is empty
+    or holds whitespace.
+    """
+    lines = []
+    for word, phonemes in sorted(lexicon.entries.items()):
+        if (
+            not word or word != normalize_word(word) or word.startswith("#")
+            or any(c in word for c in "\t\r\n")
+            or not phonemes or any(p.split() != [p] for p in phonemes)
+        ):
+            raise LexiconError(f"entry {word!r} {phonemes!r} cannot be written as TSV")
+        lines.append(f"{word}\t{' '.join(phonemes)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -90,21 +90,32 @@ class GenerationRequest:
 
 @dataclass(frozen=True)
 class GenerationResult:
-    raw_text: str
     sentences: tuple[str, ...]
 
 
-def load_client_config(path: str | Path) -> dict:
-    """Read the adapter config JSON (endpoint, model, template, text path)."""
+# llm.json keys, each a string; response_text_path may be left out.
+_CONFIG_KEYS = ("endpoint_url", "model_name", "prompt_template", "response_text_path")
+
+
+def load_request(
+    path: str | Path, inventory_words: tuple[str, ...], sentence_count: int
+) -> GenerationRequest:
+    """The request configured by the adapter JSON at `path`."""
     try:
         with open(path, encoding="utf-8") as f:
             config = json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or not UTF-8
         raise LlmConfigError(f"{path}: invalid JSON: {exc}") from None
-    for key in ("endpoint_url", "model_name", "prompt_template"):
-        if not config.get(key):
+    if not isinstance(config, dict):
+        raise LlmConfigError(f"{path}: expected a JSON object")
+    fields = {key: config[key] for key in _CONFIG_KEYS if key in config}
+    for key, value in fields.items():
+        if not isinstance(value, str):
+            raise LlmConfigError(f"{path}: {key} must be a string, got {value!r}")
+    for key in _CONFIG_KEYS[:3]:
+        if not fields.get(key):
             raise LlmConfigError(f"{path}: missing {key!r}")
-    return config
+    return GenerationRequest(inventory_words, sentence_count, **fields)
 
 
 def _extract_text(payload, path: str) -> str:
@@ -267,7 +278,7 @@ def _parse_response(raw: bytes, request: GenerationRequest) -> GenerationResult:
     sentences = tuple(line.strip() for line in raw_text.splitlines() if line.strip())
     if not sentences:
         raise LlmEmptyResultError("service returned no usable sentence lines")
-    return GenerationResult(raw_text=raw_text, sentences=sentences)
+    return GenerationResult(sentences=sentences)
 
 
 def generate_validated_plans(

@@ -10,13 +10,13 @@ human review rather than silently dropped.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import CorpusForgeError
+from .errors import CorpusForgeError, strict_int
+from .jsonl import read_jsonl, write_jsonl
 from .textnorm import tokenize
 
 PROVENANCES = ("manual", "llm", "random")
@@ -100,12 +100,16 @@ class SentencePlan:
     def from_dict(cls, data: dict) -> "SentencePlan":
         try:
             words = tuple((d["word"], d["recording"]) for d in data["words"])
-            return cls(
-                words=words,
-                provenance=data["provenance"],
-                seed=data.get("seed"),
-                source_text=data.get("source_text"),
-            )
+            seed, source_text = data.get("seed"), data.get("source_text")
+            if not all(isinstance(s, str) for pair in words for s in pair):
+                raise TypeError("word and recording must be strings")
+            if not isinstance(source_text, (str, type(None))):
+                raise TypeError(f"source_text must be a string, got {source_text!r}")
+            try:
+                seed = None if seed is None else strict_int(seed)
+            except (TypeError, ValueError):
+                raise TypeError(f"seed must be an integer, got {seed!r}") from None
+            return cls(words, data["provenance"], seed, source_text)
         except (KeyError, TypeError) as exc:
             raise PlanError(f"malformed plan record: {exc}") from exc
 
@@ -174,20 +178,14 @@ def batch_plans(
 
 def write_plans(plans: Iterable[SentencePlan], path: str | Path) -> None:
     """Write plans as JSONL, one object per line."""
-    with open(path, "w", encoding="utf-8") as f:
-        for plan in plans:
-            f.write(json.dumps(plan.to_dict(), ensure_ascii=False) + "\n")
+    write_jsonl(path, (plan.to_dict() for plan in plans))
 
 
 def read_plans(path: str | Path) -> list[SentencePlan]:
     plans = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise PlanError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+    for lineno, data in read_jsonl(path, PlanError):
+        try:
             plans.append(SentencePlan.from_dict(data))
+        except PlanError as exc:
+            raise PlanError(f"{path}: row {lineno}: {exc}") from None
     return plans

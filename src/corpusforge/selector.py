@@ -268,14 +268,6 @@ class CoverageReport:
     phoneme_histogram: dict[Phoneme, int]
     per_step_gain: list[int] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "word_count": self.word_count,
-            "distinct_biphones": self.distinct_biphones,
-            "phoneme_histogram": dict(sorted(self.phoneme_histogram.items())),
-            "per_step_gain": list(self.per_step_gain),
-        }
-
 
 def coverage_report(state: SelectionState) -> CoverageReport:
     """Recompute coverage statistics from the ordered selection.

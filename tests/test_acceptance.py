@@ -9,6 +9,7 @@ import json
 import math
 import random
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ def test_10_coverage_report_consistency():
             for cand in state.selected:
                 recomputed |= set(biphones(cand.phonemes))
             assert report.distinct_biphones == len(recomputed)
-            data = report.to_dict()
+            data = asdict(report)
             # Dataset-statistics table format: word and biphone totals.
             assert "word_count" in data and "distinct_biphones" in data
             assert data["word_count"] == len(state.selected)

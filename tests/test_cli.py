@@ -591,11 +591,135 @@ class TestEvalCommand:
             '{"id": "ok", "reference": "hallo", "hypothesis": "hallo"}\n'
             '{"id": "bad-pair", "reference": "!!!", "hypothesis": "x"}\n'
         )
-        code = run_cli(
-            "eval", "--pairs", pairs, "--mode", "wer", "--out-dir", tmp_path / "out"
-        )
+        out = tmp_path / "out"
+        code = run_cli("eval", "--pairs", pairs, "--mode", "wer", "--out-dir", out)
         assert code == 2
         assert "bad-pair" in capsys.readouterr().err
+        # The out-dir exists once the options pass; a failed run leaves no run.json.
+        assert out.is_dir() and list(out.iterdir()) == []
+
+
+def _manifest_row(word: str) -> dict:
+    return {
+        "speaker_id": "spk1", "session_id": "s1", "block_id": "b1",
+        "microphone_id": "m1", "word": word, "repetition_index": 0,
+        "audio_path": f"{word}.wav", "transcript": word,
+    }
+
+
+def _plan_record(word: str, recording="") -> dict:
+    words = [{"word": word, "recording": recording or f"{word}.wav"}]
+    return {"words": words, "provenance": "manual", "seed": None, "source_text": word}
+
+
+# Per command reading a JSONL input: two good records, one record of the
+# wrong types, and the arguments that run it on a file.
+JSONL_INPUTS = {
+    "eval": (
+        [{"id": "a", "reference": "der hund", "hypothesis": "der hund"},
+         {"id": "b", "reference": "die katze", "hypothesis": "die kaze"}],
+        {"id": "c", "reference": 5, "hypothesis": "x"},
+        lambda path, root: ["eval", "--pairs", path, "--mode", "cer"],
+    ),
+    "concat": (
+        [_plan_record("der"), _plan_record("hund")],
+        _plan_record("der", recording=5),
+        lambda path, root: ["concat", "--plan", path, "--audio-root", root / "audio"],
+    ),
+    "split": (
+        [_manifest_row("der"), _manifest_row("hund")],
+        {**_manifest_row("die"), "repetition_index": 2.5},
+        lambda path, root: ["split", "--manifest", path, "--policy", "strict",
+                            "--ratio", 0.5, "--seed", 1],
+    ),
+}
+
+
+class TestJsonlInputs:
+    """Pairs, plans and manifests share one JSONL reader and its rules."""
+
+    @staticmethod
+    def _run(command, toy_corpus, tmp_path, lines, name):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_bytes(lines.encode("utf-8"))
+        out = tmp_path / name
+        argv = JSONL_INPUTS[command][2](path, toy_corpus)
+        return run_cli(*argv, "--out-dir", out), out
+
+    @pytest.mark.parametrize("command", list(JSONL_INPUTS))
+    def test_bom_and_blank_lines_are_accepted(self, toy_corpus, tmp_path, command):
+        first, second = (json.dumps(r) for r in JSONL_INPUTS[command][0])
+        outputs = []
+        for name, text in [
+            ("plain", f"{first}\n{second}\n"),
+            ("bom", f"\ufeff{first}\n\n   \r\n{second}\n\n"),
+        ]:
+            code, out = self._run(command, toy_corpus, tmp_path, text, name)
+            assert code == 0
+            outputs.append({
+                p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.json"
+            })
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", list(JSONL_INPUTS))
+    @pytest.mark.parametrize("bad", ["invalid JSON", "not an object", "wrong type"])
+    def test_bad_record_is_data_error_naming_its_row(
+        self, toy_corpus, tmp_path, capsys, command, bad
+    ):
+        good, wrong_type, _ = JSONL_INPUTS[command]
+        bad_line = {
+            "invalid JSON": '{"id": ',
+            "not an object": "[1, 2]",
+            "wrong type": json.dumps(wrong_type),
+        }[bad]
+        text = f"{json.dumps(good[0])}\n\n{bad_line}\n{json.dumps(good[1])}\n"
+        code, out = self._run(command, toy_corpus, tmp_path, text, "bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("corpusforge: data error: ")
+        assert "bad.jsonl: row 3: " in err
+        assert not (out / "run.json").exists()
+
+
+LLM_CONFIG = {
+    "endpoint_url": "http://127.0.0.1:1/generate",
+    "model_name": "stub",
+    "prompt_template": "{count} sentences from: {words}",
+}
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[1, 2]", "expected a JSON object"),
+        (json.dumps({**LLM_CONFIG, "model_name": "m\u00e4"}, ensure_ascii=False)
+         .encode("latin-1"), "invalid JSON"),
+        *[
+            (json.dumps({**LLM_CONFIG, key: value}).encode(), f"{key} must be a string")
+            for key, value in [
+                ("prompt_template", 5), ("endpoint_url", ["http://x/"]),
+                ("model_name", 1.5), ("response_text_path", None),
+            ]
+        ],
+    ],
+    ids=["not-object", "not-utf8", "template", "endpoint", "model", "text-path"],
+)
+def test_bad_llm_config_is_usage_error(toy_corpus, tmp_path, capsys, content, message):
+    llm_config = tmp_path / "llm.json"
+    llm_config.write_bytes(content)
+    out = tmp_path / "plans"
+    code = run_cli(
+        "rechain", "llm",
+        "--manifest", toy_corpus / "manifest.csv",
+        "--llm-config", llm_config,
+        "--count", 1,
+        "--out-dir", out,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"corpusforge: error: {llm_config}: ")
+    assert message in err
+    assert not (out / "run.json").exists()
 
 
 class TestReportCommand:

@@ -1,13 +1,15 @@
 import io
+import re
 import tempfile
 import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusforge.lexicon import (
+    Lexicon,
     LexiconError,
     OovWordError,
     biphones,
@@ -149,3 +151,56 @@ def test_lexicon_file_round_trip(generated, newline):
         assert load_lexicon(path).entries == entries
     assert parse(text).entries == entries
     assert serialize_lexicon(parse(text)) == text
+
+
+# Words and phonemes a Lexicon built in code may hold but a TSV line cannot
+# carry: tab, CR, LF, a leading "#", case, padding, NFD, empty, inner space.
+RAW_WORD_CHARS = WORD_CHARS + ["\t", "\r", "\n", "A"]
+RAW_PHONEMES = PHONEMES + ["", "a b", " a", "a\t", "a\n"]
+
+
+def reads_back(word: str, phonemes: tuple) -> bool:
+    """Whether the naive TSV line of one entry parses back to that entry,
+    from a string and from a file (where a CR ends a line too)."""
+    line = f"{word}\t{' '.join(phonemes)}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lexicon.tsv"
+        path.write_bytes(line.encode())
+        try:
+            return parse(line).entries == load_lexicon(path).entries == {
+                word: phonemes
+            }
+        except LexiconError:
+            return False
+
+
+@settings(max_examples=300, deadline=None)
+@example({"a\rb": ("a",), "#a": ("a",), "a\tb": ("a",), "A": ("a",)})
+@example({" a": ("a",), "u\u0308": ("a",), "b": ("",), "a": ("a b",)})
+@example({"": ("a",), "a#": ("p#", "\u028a"), "b": ()})
+@given(
+    st.dictionaries(
+        st.lists(st.sampled_from(RAW_WORD_CHARS), max_size=4).map("".join),
+        st.lists(st.sampled_from(RAW_PHONEMES), max_size=3).map(tuple),
+        max_size=4,
+    )
+)
+def test_serialize_refuses_entries_that_read_back_differently(entries):
+    for word, phonemes in entries.items():
+        single = Lexicon({word: phonemes})
+        if reads_back(word, phonemes):
+            assert parse(serialize_lexicon(single)).entries == single.entries
+        else:
+            with pytest.raises(LexiconError, match=re.escape(repr(word))):
+                serialize_lexicon(single)
+    lexicon = Lexicon(entries)
+    try:
+        text = serialize_lexicon(lexicon)
+    except LexiconError:
+        assert not all(reads_back(w, p) for w, p in entries.items())
+        return
+    assert parse(text).entries == entries
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lexicon.tsv"
+        path.write_bytes(text.encode())
+        assert load_lexicon(path).entries == entries

@@ -129,6 +129,30 @@ class TestSentencePlan:
         assert first["seed"] is None
         assert first["source_text"] == "Der Hund bellt."
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"words": [{"word": 5, "recording": "a.wav"}]},
+            {"words": [{"word": "a", "recording": 5}]},
+            {"seed": 2.5},
+            {"seed": "x"},
+            {"seed": True},
+            {"seed": [1]},
+            {"source_text": 3},
+            {"source_text": ["a"]},
+        ],
+    )
+    def test_record_of_wrong_types_is_plan_error(self, change):
+        record = {
+            "words": [{"word": "a", "recording": "a.wav"}],
+            "provenance": "random",
+            "seed": 1,
+            "source_text": None,
+        }
+        SentencePlan.from_dict(record)
+        with pytest.raises(PlanError, match="malformed plan record"):
+            SentencePlan.from_dict({**record, **change})
+
 
 def test_inventory_from_manifest_keeps_file_order(toy_corpus):
     from corpusforge.dataset import load_manifest

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -253,7 +254,7 @@ class TestStateAndReports:
 
     def test_report_serializes(self):
         report = coverage_report(gbc_select(THREE_WORD_POOL, 2))
-        data = report.to_dict()
+        data = asdict(report)
         assert set(data) == {
             "word_count",
             "distinct_biphones",
