@@ -41,7 +41,7 @@ from .dataset import (
     split,
     write_assignment,
 )
-from .errors import CorpusForgeError, strict_int
+from .errors import CorpusForgeError, open_text, strict_int
 from .jsonl import read_jsonl, write_jsonl
 from .lexicon import load_lexicon
 from .llmclient import (
@@ -331,7 +331,7 @@ def _write_run_manifest(run: _Run) -> None:
 def _listed_pool(run: _Run, name: str, what: str):
     """The word list `name` as read, and its pool and OOV words over the lexicon."""
     lexicon = load_lexicon(run.inputs["lexicon"])
-    with open(run.inputs[name], encoding="utf-8") as f:
+    with open_text(run.inputs[name]) as f:
         words = [w for w in map(str.strip, f) if w and not w.startswith("#")]
     pool, skipped = pool_from_lexicon(words, lexicon)
     if not len(pool):
@@ -384,7 +384,7 @@ def cmd_rechain(run: _Run) -> None:
 
     rejected: list[tuple[str, list[str]]] = []
     if run.config["mode"] == "manual":
-        with open(run.inputs["sentences"], encoding="utf-8") as f:
+        with open_text(run.inputs["sentences"]) as f:
             sentences = [line.strip() for line in f if line.strip()]
         plans, rejected = batch_plans(sentences, inventory, provenance="manual")
     elif run.config["mode"] == "llm":

@@ -26,7 +26,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import CorpusForgeError, strict_int
+from .errors import CorpusForgeError, open_text, strict_int
 from .jsonl import read_jsonl
 from .textnorm import normalize_word
 
@@ -140,7 +140,11 @@ def _build_manifest(
 
 
 def _jsonl_rows(path: Path) -> tuple[list[int], list[list]]:
-    """Line numbers and value lists of the non-blank lines."""
+    """Line numbers and value lists of the non-blank lines.
+
+    A JSON array or object in a text field is an error naming the row and
+    field; ``str()`` would turn it into text.
+    """
     linenos, rows = [], []
     for lineno, record in read_jsonl(path, ManifestError):
         extra = record.keys() - _COLUMN_SET
@@ -149,8 +153,16 @@ def _jsonl_rows(path: Path) -> tuple[list[int], list[list]]:
                 "%s: row %d: ignoring unknown field(s) %s",
                 path, lineno, ", ".join(sorted(extra)),
             )
+        values = [record.get(c) for c in MANIFEST_COLUMNS]
+        for name, value in zip(MANIFEST_COLUMNS, values):
+            if isinstance(value, (list, dict)) and name != "repetition_index":
+                kind = "array" if isinstance(value, list) else "object"
+                raise ManifestError(
+                    f"{path}: row {lineno}: {name} must be a string or number, "
+                    f"got a JSON {kind}"
+                )
         linenos.append(lineno)
-        rows.append([record.get(c) for c in MANIFEST_COLUMNS])
+        rows.append(values)
     return linenos, rows
 
 
@@ -193,7 +205,7 @@ def load_manifest(path: str | Path) -> RecordingManifest:
     if path.suffix.lower() in (".jsonl", ".json"):
         linenos, rows = _jsonl_rows(path)
     else:
-        with open(path, encoding="utf-8-sig", newline="") as f:
+        with open_text(path, ManifestError, "utf-8-sig", newline="") as f:
             linenos, rows = _csv_rows(f, path)
     return _build_manifest(linenos, rows, str(path))
 

@@ -10,14 +10,17 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .errors import open_text
+
 
 def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per non-blank line of `path`.
 
-    A UTF-8 byte order mark is skipped. Invalid JSON or a line that is not
-    a JSON object raises `error`, naming the row.
+    A UTF-8 byte order mark is skipped. Text that is not UTF-8 raises
+    `error`, naming the line; invalid JSON or a line that is not a JSON
+    object raises it naming the row.
     """
-    with open(path, encoding="utf-8-sig") as f:
+    with open_text(path, error, "utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue

@@ -13,11 +13,11 @@ rejected so that downstream selection scores stay unambiguous.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
-from .errors import CorpusForgeError
+from .errors import CorpusForgeError, open_text
 from .textnorm import normalize_word
 
 # A phoneme is a non-empty symbol string without whitespace; a biphone is an
@@ -40,14 +40,43 @@ class OovWordError(CorpusForgeError):
         self.word = word
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Mapping from normalized orthography to its phoneme sequence.
+class _Pronunciations(Mapping[str, PhonemeSequence]):
+    """Read-only word -> phoneme sequence view over pronunciation strings.
 
-    Treat as read-only after construction; all operations on it are pure.
+    A pronunciation is split into its phonemes only when its word is looked
+    up; membership, iteration and length go straight to the strings.
     """
 
-    entries: dict[str, PhonemeSequence]
+    __slots__ = ("_raw",)
+
+    def __init__(self, raw: dict[str, str]):
+        self._raw = raw
+
+    def __getitem__(self, word: str) -> PhonemeSequence:
+        return tuple(self._raw[word].split())
+
+    def __contains__(self, word: object) -> bool:
+        return word in self._raw
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._raw)
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+@dataclass(frozen=True)
+class Lexicon:
+    """Read-only mapping from normalized orthography to its phoneme sequence.
+
+    All operations on it are pure. A parsed lexicon splits a pronunciation
+    into phonemes only when its word is looked up.
+    """
+
+    entries: Mapping[str, PhonemeSequence]
 
     def __contains__(self, word: str) -> bool:
         return normalize_word(word) in self.entries
@@ -59,37 +88,40 @@ class Lexicon:
 def parse_lexicon(source: Iterable[str]) -> Lexicon:
     """Parse lexicon TSV lines into a :class:`Lexicon`.
 
-    `source` is any iterable of text lines (an open file works). Raises
-    :class:`LexiconError` on structural problems, naming the offending
-    line number(s).
+    `source` is any iterable of text lines (an open file works). Every line
+    is checked; :class:`LexiconError` names the first offending line
+    number(s). Pronunciations are kept as text until looked up.
     """
-    entries: dict[str, PhonemeSequence] = {}
-    seen_line: dict[str, int] = {}
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        word_field, sep, pron_field = line.partition("\t")
-        if not sep or not word_field.strip():
-            raise LexiconError(
-                f"line {lineno}: expected 'word<TAB>phoneme ...', got {line!r}"
-            )
+    raw: dict[str, str] = {}
+    linenos: list[int] = []  # the line of each entry of `raw`, in order
+    for lineno, line in enumerate(source, start=1):
+        word_field, sep, pron = line.partition("\t")
+        # Common case first: a line starting with a letter or digit is
+        # neither blank, nor a comment, nor missing its word.
+        if not (sep and line[:1].isalnum()):
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            word_field, sep, pron = line.partition("\t")
+            if not sep or not word_field.strip():
+                raise LexiconError(
+                    f"line {lineno}: expected 'word<TAB>phoneme ...', got {line!r}"
+                )
         word = normalize_word(word_field)
-        phonemes = tuple(pron_field.split())
-        if not phonemes:
+        if not pron or pron.isspace():
             raise LexiconError(f"line {lineno}: empty pronunciation for {word!r}")
-        if word in entries:
+        if word in raw:
+            first = linenos[list(raw).index(word)]
             raise LexiconError(
-                f"duplicate entry for {word!r} "
-                f"(lines {seen_line[word]} and {lineno})"
+                f"duplicate entry for {word!r} (lines {first} and {lineno})"
             )
-        entries[word] = phonemes
-        seen_line[word] = lineno
-    return Lexicon(entries)
+        raw[word] = pron
+        linenos.append(lineno)
+    return Lexicon(_Pronunciations(raw))
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    with open(path, encoding="utf-8") as f:
+    with open_text(path, LexiconError) as f:
         return parse_lexicon(f)
 
 

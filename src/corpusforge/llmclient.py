@@ -14,7 +14,7 @@ import json
 import os
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -64,6 +64,7 @@ class GenerationRequest:
     model_name: str
     response_text_path: str = "text"
     timeout_s: float = 30.0
+    prompt: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # urllib would also open file:// and other local schemes.
@@ -80,12 +81,17 @@ class GenerationRequest:
                 raise LlmConfigError(
                     f"prompt template is missing the {placeholder} placeholder"
                 )
-
-    @property
-    def prompt(self) -> str:
-        return self.prompt_template.format(
-            words=", ".join(self.inventory_words), count=self.sentence_count
-        )
+        try:
+            prompt = self.prompt_template.format(
+                words=", ".join(self.inventory_words), count=self.sentence_count
+            )
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise LlmConfigError(
+                f"prompt template cannot be filled in ({type(exc).__name__}: "
+                f"{exc}); it may use only the {{words}} and {{count}} fields, "
+                "and {{ and }} for literal braces"
+            ) from None
+        object.__setattr__(self, "prompt", prompt)
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,10 @@ def load_request(
     for key in _CONFIG_KEYS[:3]:
         if not fields.get(key):
             raise LlmConfigError(f"{path}: missing {key!r}")
-    return GenerationRequest(inventory_words, sentence_count, **fields)
+    try:
+        return GenerationRequest(inventory_words, sentence_count, **fields)
+    except LlmConfigError as exc:
+        raise LlmConfigError(f"{path}: {exc}") from None
 
 
 def _extract_text(payload, path: str) -> str:

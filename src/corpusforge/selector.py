@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import CorpusForgeError
+from .errors import CorpusForgeError, open_text
 from .lexicon import BiphoneSet, Lexicon, OovWordError, Phoneme, PhonemeSequence
 from .lexicon import biphones as _biphones
 from .lexicon import phonemize
@@ -121,7 +121,7 @@ class PhonemeWeights:
     @classmethod
     def from_json(cls, path: str | Path) -> "PhonemeWeights":
         try:
-            with open(path, encoding="utf-8") as f:
+            with open_text(path, SelectionError) as f:
                 data = json.load(f)
         except json.JSONDecodeError as exc:
             raise SelectionError(f"{path}: invalid JSON: {exc}") from None

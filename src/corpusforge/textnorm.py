@@ -17,7 +17,9 @@ _PUNCT_TABLE = str.maketrans("", "", PUNCTUATION)
 
 def normalize_word(word: str) -> str:
     """Normalize a single orthographic word: NFC, trim, lowercase."""
-    return unicodedata.normalize("NFC", word).strip().lower()
+    if not word.isascii():  # NFC leaves ASCII text as it is
+        word = unicodedata.normalize("NFC", word)
+    return word.strip().lower()
 
 
 def normalize_text(text: str) -> str:

@@ -4,21 +4,24 @@ Everything here deliberately avoids the production code paths: the edit
 distance follows the textbook recursion, the weighted-selection oracle
 recomputes scores from scratch at every step, the maximum-coverage
 reference tries every subset, the manifest loader reads rows through
-``csv.DictReader`` and per-column dict lookups, and the pool generator only
-uses the public constructors.
+``csv.DictReader`` and per-column dict lookups, the lexicon parser builds
+every phoneme tuple as it reads, and the pool generator only uses the
+public constructors.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import logging
 import random
+import unicodedata
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from corpusforge.dataset import (
     MANIFEST_COLUMNS,
@@ -26,6 +29,7 @@ from corpusforge.dataset import (
     RecordingEntry,
     RecordingManifest,
 )
+from corpusforge.lexicon import Lexicon, LexiconError, PhonemeSequence
 from corpusforge.selector import (
     CandidatePool,
     CandidateWord,
@@ -265,6 +269,24 @@ def _oracle_build_manifest(rows: list[tuple[int, dict]], source: str) -> Recordi
     return RecordingManifest(tuple(entries))
 
 
+def _oracle_text(path: Path) -> str:
+    """The whole file decoded, byte order mark dropped; not UTF-8 fails first.
+
+    The loader decodes as it reads, so on a file longer than one read chunk
+    (8 KiB) an error in an earlier row can win; generated files are shorter.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = before.count(b"\n") + 1
+        raise ManifestError(
+            f"{path}: line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})"
+        ) from None
+    return text.removeprefix("\ufeff")
+
+
 def manifest_oracle(path: str | Path) -> RecordingManifest:
     """``load_manifest`` as one dict per row: ``csv.DictReader`` or ``json.loads``.
 
@@ -272,9 +294,10 @@ def manifest_oracle(path: str | Path) -> RecordingManifest:
     every row is read before the first is checked.
     """
     path = Path(path)
+    text = _oracle_text(path)
     rows: list[tuple[int, dict]] = []
     if path.suffix.lower() in (".jsonl", ".json"):
-        with open(path, encoding="utf-8-sig") as f:
+        with io.StringIO(text, newline=None) as f:
             for lineno, line in enumerate(f, start=1):
                 if not line.strip():
                     continue
@@ -294,9 +317,16 @@ def manifest_oracle(path: str | Path) -> RecordingManifest:
                         "%s: row %d: ignoring unknown field(s) %s",
                         path, lineno, ", ".join(sorted(extra)),
                     )
+                for c in MANIFEST_COLUMNS:
+                    kind = {list: "array", dict: "object"}.get(type(record.get(c)))
+                    if kind and c != "repetition_index":
+                        raise ManifestError(
+                            f"{path}: row {lineno}: {c} must be a string or "
+                            f"number, got a JSON {kind}"
+                        )
                 rows.append((lineno, record))
     else:
-        with open(path, encoding="utf-8-sig", newline="") as f:
+        with io.StringIO(text, newline="") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames is None:
                 raise ManifestError(f"{path}: no header row")
@@ -313,3 +343,31 @@ def manifest_oracle(path: str | Path) -> RecordingManifest:
             for lineno, record in enumerate(reader, start=2):
                 rows.append((lineno, record))
     return _oracle_build_manifest(rows, str(path))
+
+
+def lexicon_oracle(source: Iterable[str]) -> Lexicon:
+    """``parse_lexicon`` checking each line in full and splitting every
+    pronunciation into its phoneme tuple as it is read."""
+    entries: dict[str, PhonemeSequence] = {}
+    seen_line: dict[str, int] = {}
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        word_field, sep, pron_field = line.partition("\t")
+        if not sep or not word_field.strip():
+            raise LexiconError(
+                f"line {lineno}: expected 'word<TAB>phoneme ...', got {line!r}"
+            )
+        word = unicodedata.normalize("NFC", word_field).strip().lower()
+        phonemes = tuple(pron_field.split())
+        if not phonemes:
+            raise LexiconError(f"line {lineno}: empty pronunciation for {word!r}")
+        if word in entries:
+            raise LexiconError(
+                f"duplicate entry for {word!r} "
+                f"(lines {seen_line[word]} and {lineno})"
+            )
+        entries[word] = phonemes
+        seen_line[word] = lineno
+    return Lexicon(entries)

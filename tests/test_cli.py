@@ -681,6 +681,58 @@ class TestJsonlInputs:
         assert not (out / "run.json").exists()
 
 
+def _select(lexicon="lexicon.tsv", corpus="corpus.txt", weights="weights.json"):
+    return lambda root: ["select", "--lexicon", root / lexicon, "--corpus", root / corpus,
+                         "--k", 2, "--k-prime", 1, "--weights", root / weights]
+
+
+def _jsonl_input(command):
+    records, _, argv = JSONL_INPUTS[command]
+    text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    return text.encode(), lambda root: argv(root / "input.jsonl", root)
+
+
+# Per text input: its file name and content (None: the toy corpus's file),
+# and the arguments that run a command reading it from the toy corpus root.
+TEXT_INPUTS = {
+    "lexicon": ("lexicon.tsv", None, _select()),
+    "corpus": ("corpus.txt", None, _select()),
+    "weights": ("weights.json", None, _select()),
+    "report words": ("corpus.txt", None, lambda root: [
+        "report", "--lexicon", root / "lexicon.tsv", "--words", root / "corpus.txt"]),
+    "sentences": ("sentences.txt", None, lambda root: [
+        "rechain", "manual", "--manifest", root / "manifest.csv",
+        "--sentences", root / "sentences.txt"]),
+    "csv manifest": ("manifest.csv", None, lambda root: [
+        "split", "--manifest", root / "manifest.csv", "--policy", "strict",
+        "--ratio", 0.5, "--seed", 1]),
+    "jsonl manifest": ("input.jsonl", *_jsonl_input("split")),
+    "plan": ("input.jsonl", *_jsonl_input("concat")),
+    "pairs": ("input.jsonl", *_jsonl_input("eval")),
+}
+
+
+@pytest.mark.parametrize("name", list(TEXT_INPUTS))
+def test_input_that_is_not_utf8_is_data_error_naming_it(
+    toy_corpus, tmp_path, capsys, name
+):
+    file_name, content, argv = TEXT_INPUTS[name]
+    path = toy_corpus / file_name
+    if content is not None:
+        path.write_bytes(content)
+    assert run_cli(*argv(toy_corpus), "--out-dir", tmp_path / "good") == 0
+    # A Latin-1 "ä" at the start of line 2, after a CR-only line end.
+    first_line = path.read_bytes().partition(b"\n")
+    path.write_bytes(first_line[0] + b"\r\xe4" + first_line[2])
+    capsys.readouterr()
+    out = tmp_path / "bad"
+    assert run_cli(*argv(toy_corpus), "--out-dir", out) == 2
+    assert capsys.readouterr().err == (
+        f"corpusforge: data error: {path}: line 2: not UTF-8 text (byte 0xe4)\n"
+    )
+    assert not (out / "run.json").exists()
+
+
 LLM_CONFIG = {
     "endpoint_url": "http://127.0.0.1:1/generate",
     "model_name": "stub",
@@ -701,8 +753,13 @@ LLM_CONFIG = {
                 ("model_name", 1.5), ("response_text_path", None),
             ]
         ],
+        (json.dumps({**LLM_CONFIG, "prompt_template": "{words} {count} {other}"})
+         .encode(), "KeyError: 'other'"),
+        (json.dumps({**LLM_CONFIG, "endpoint_url": "file:///etc/passwd"})
+         .encode(), "must be an http(s) URL"),
     ],
-    ids=["not-object", "not-utf8", "template", "endpoint", "model", "text-path"],
+    ids=["not-object", "not-utf8", "template", "endpoint", "model", "text-path",
+         "template-field", "endpoint-scheme"],
 )
 def test_bad_llm_config_is_usage_error(toy_corpus, tmp_path, capsys, content, message):
     llm_config = tmp_path / "llm.json"

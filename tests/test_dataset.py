@@ -342,7 +342,12 @@ GOOD_JSON = {
     "repetition_index": [0, 1, "2", True],
     "transcript": ["", "hund", 0],
 }
-BAD_JSON = {"repetition_index": [-1, 2.5, "x", [1]], "transcript": [None]}
+BAD_JSON = {
+    "repetition_index": [-1, 2.5, "x", [1]],
+    "transcript": [None, ["hund"]],
+    "word": ["", ["Hund"]],
+    "audio_path": ["", {"p": 1}],
+}
 
 
 def cell(rng: random.Random, good: dict, bad: dict, name: str):
@@ -377,10 +382,14 @@ def outcome(load, path: Path):
     return result, warnings
 
 
-def assert_matches_oracle(text: str, suffix: str) -> None:
+def assert_matches_oracle(text: str, suffix: str, rng: random.Random) -> None:
+    data = text.encode("utf-8")
+    if rng.random() < 0.05:  # a Latin-1 "ä" makes the file not UTF-8
+        cut = rng.randint(0, len(data))
+        data = data[:cut] + b"\xe4" + data[cut:]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"manifest{suffix}"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(data)
         expected = outcome(manifest_oracle, path)
         assert outcome(load_manifest, path) == expected
     # What the examples exercised (pytest --hypothesis-show-statistics).
@@ -444,10 +453,10 @@ def jsonl_manifest(rng: random.Random) -> str:
 @settings(max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=True))
 def test_csv_load_matches_dictreader_oracle(rng):
-    assert_matches_oracle(csv_manifest(rng), ".csv")
+    assert_matches_oracle(csv_manifest(rng), ".csv", rng)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=True))
 def test_jsonl_load_matches_json_oracle(rng):
-    assert_matches_oracle(jsonl_manifest(rng), ".jsonl")
+    assert_matches_oracle(jsonl_manifest(rng), ".jsonl", rng)

@@ -5,7 +5,7 @@ import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from corpusforge.lexicon import (
@@ -19,6 +19,8 @@ from corpusforge.lexicon import (
     serialize_lexicon,
 )
 from corpusforge.textnorm import normalize_word
+
+from oracles import lexicon_oracle
 
 
 def parse(text: str):
@@ -204,3 +206,86 @@ def test_serialize_refuses_entries_that_read_back_differently(entries):
         path = Path(tmp) / "lexicon.tsv"
         path.write_bytes(text.encode())
         assert load_lexicon(path).entries == entries
+
+
+# -- parse_lexicon against the build-every-tuple oracle ----------------------
+
+# Words start with a letter or digit (the common case) or not (padding, an
+# apostrophe, "#"), mix NFC and NFD, case and inner spaces; few characters,
+# so that words often repeat after normalization.
+WORD_CORE_CHARS = ["a", "B", "7", "\u00e4", "a\u0308", "\u00c4", "'", "-", "#", "a b"]
+WORD_PADDING = ["", "", "", " ", "\u00a0", "\u3000"]
+ORACLE_PHONEMES = ["a", "\u028a", "a\u02d0", "p#", "u\u0308"]
+# Separators inside a pronunciation, and pronunciations with no phoneme.
+PRON_SEPARATORS = [" ", "  ", "\t", "\x0b", "\u00a0", " \t "]
+EMPTY_PRONUNCIATIONS = ["", " ", "\t", "\u3000", "\x85", "\x1c", " \r"]
+SKIPPED_LINES = ["", " ", "\t", "  \t ", "\u2028", "#", "# comment", "  # indented",
+                 "\t# tab-indented", "#\tword\ta"]
+BAD_LINES = ["hund h a", "x", "\ta", " \ta", "\u00a0\ta", "\r\ta"]
+ENDINGS = ["\n", "\n", "\r\n", "\r", "\n\n", ""]
+
+
+@st.composite
+def lexicon_text_lines(draw):
+    """Lines of a lexicon file, valid or not, each ending in one of ENDINGS."""
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 39))
+        if kind == 39:
+            line = draw(st.sampled_from(BAD_LINES))
+        elif kind > 30:
+            line = draw(st.sampled_from(SKIPPED_LINES))
+        else:
+            core = draw(st.lists(st.sampled_from(WORD_CORE_CHARS), min_size=1,
+                                 max_size=3))
+            padding = st.sampled_from(WORD_PADDING)
+            word = draw(padding) + "".join(core) + draw(padding)
+            if kind > 28:
+                pron = draw(st.sampled_from(EMPTY_PRONUNCIATIONS))
+            else:
+                phonemes = draw(st.lists(st.sampled_from(ORACLE_PHONEMES),
+                                         min_size=1, max_size=4))
+                pron = draw(st.sampled_from(PRON_SEPARATORS)).join(phonemes)
+                pron = draw(st.sampled_from(["", " ", "\t"])) + pron
+            line = f"{word}\t{pron}"
+        lines.append(line + draw(st.sampled_from(ENDINGS)))
+    return lines
+
+
+def lexicon_outcome(parse_lines, source):
+    try:
+        lexicon = parse_lines(source)
+    except LexiconError as exc:
+        return "error", str(exc)
+    return "ok", dict(lexicon.entries.items()), list(lexicon.entries), len(lexicon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicon_text_lines())
+def test_parse_lexicon_matches_oracle(lines):
+    expected = lexicon_outcome(lexicon_oracle, lines)
+    assert lexicon_outcome(parse_lexicon, lines) == expected
+    text = "".join(lines)
+    assert lexicon_outcome(parse, text) == lexicon_outcome(
+        lexicon_oracle, io.StringIO(text)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lexicon.tsv"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8") as f:
+            from_file = lexicon_outcome(lexicon_oracle, f)
+        assert lexicon_outcome(load_lexicon, path) == from_file
+    if expected[0] == "ok":
+        lexicon = parse_lexicon(lines)
+        assert all(word in lexicon.entries for word in expected[1])
+        assert "\t" not in lexicon.entries and 0 not in lexicon.entries
+        assert lexicon.entries.get("\t") is None
+    # What the examples exercised (pytest --hypothesis-show-statistics).
+    event("loaded" if expected[0] == "ok" else expected[1].split(": ")[-1][:25])
+
+
+@given(st.text())
+@example("\u00c4 ")
+@example("A\u0308\u00a0")
+def test_normalize_word_is_nfc_strip_lower(word):
+    assert normalize_word(word) == unicodedata.normalize("NFC", word).strip().lower()

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime
 import json
+import re
 import socket
 import threading
 from contextlib import contextmanager
@@ -297,6 +298,41 @@ class TestGenerationRequest:
                 endpoint_url="http://x",
                 model_name="m",
             )
+
+    @pytest.mark.parametrize(
+        "template, error",
+        [
+            ("{words} {count} {other}", "KeyError: 'other'"),
+            ("{words} {count} {0}", "IndexError"),
+            ("{words} {count} {", "ValueError"),
+            ("{words} {count} }", "ValueError"),
+            ("{words} {count} {words:d}", "ValueError"),
+            ("{words} {count} {count!z}", "ValueError"),
+            ("{words} {count} {words.x}", "AttributeError"),
+            ("{words} {count} {count[0]}", "TypeError"),
+        ],
+    )
+    def test_template_that_cannot_be_filled_in_is_a_config_error(
+        self, template, error
+    ):
+        with pytest.raises(LlmConfigError, match=re.escape(error)):
+            GenerationRequest(
+                inventory_words=("a",),
+                sentence_count=1,
+                prompt_template=template,
+                endpoint_url="http://x",
+                model_name="m",
+            )
+
+    def test_prompt_is_the_filled_in_template(self):
+        request = GenerationRequest(
+            inventory_words=("a", "b"),
+            sentence_count=2,
+            prompt_template="{{literal}} {count}: {words}",
+            endpoint_url="http://x",
+            model_name="m",
+        )
+        assert request.prompt == "{literal} 2: a, b"
 
     def test_count_positive(self):
         with pytest.raises(LlmConfigError):
