@@ -42,7 +42,7 @@ from .dataset import (
     write_assignment,
 )
 from .errors import CorpusForgeError, open_text, strict_int
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_json_object, read_jsonl, write_jsonl
 from .lexicon import load_lexicon
 from .llmclient import (
     LlmClientError,
@@ -199,14 +199,9 @@ def _load_config(value) -> dict:
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as f:
-            config = json.load(f)
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise UsageError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        kind = type(config).__name__
-        raise UsageError(f"config {path} must be a JSON object, not {kind}")
-    return config
+        return read_json_object(path, UsageError)
+    except UsageError as exc:
+        raise UsageError(f"config {exc}") from None
 
 
 def _warn_unknown_keys(config: dict) -> None:
@@ -466,7 +461,14 @@ def cmd_eval(run: _Run) -> None:
             raise CorpusForgeError(
                 f"{pairs_path}: row {lineno}: reference and hypothesis must be strings"
             )
-        ids.append(str(record.get("id", lineno)))
+        pair_id = record.get("id", lineno)
+        if isinstance(pair_id, (list, dict)):
+            kind = "array" if isinstance(pair_id, list) else "object"
+            raise CorpusForgeError(
+                f"{pairs_path}: row {lineno}: id must be a string or number, "
+                f"got a JSON {kind}"
+            )
+        ids.append(str(pair_id))
         pairs.append(pair)
     if not pairs:
         raise CorpusForgeError(f"{pairs_path}: no evaluation pairs")

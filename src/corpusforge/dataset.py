@@ -205,7 +205,7 @@ def load_manifest(path: str | Path) -> RecordingManifest:
     if path.suffix.lower() in (".jsonl", ".json"):
         linenos, rows = _jsonl_rows(path)
     else:
-        with open_text(path, ManifestError, "utf-8-sig", newline="") as f:
+        with open_text(path, ManifestError, newline="") as f:
             linenos, rows = _csv_rows(f, path)
     return _build_manifest(linenos, rows, str(path))
 

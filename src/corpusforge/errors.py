@@ -26,14 +26,15 @@ def strict_int(value) -> int:
 
 
 @contextmanager
-def open_text(path, error=CorpusForgeError, encoding="utf-8", newline=None):
-    """Open `path` for reading as UTF-8 text.
+def open_text(path, error=CorpusForgeError, newline=None):
+    """Open `path` for reading as UTF-8 text; every text input is read here.
 
+    A leading UTF-8 byte order mark, as Windows editors write, is skipped.
     A byte sequence that is not UTF-8, met anywhere while the file is read
     inside the ``with`` block, raises `error` naming the file and line.
     """
     try:
-        with open(path, encoding=encoding, newline=newline) as f:
+        with open(path, encoding="utf-8-sig", newline=newline) as f:
             yield f
     except UnicodeDecodeError:
         data = Path(path).read_bytes()

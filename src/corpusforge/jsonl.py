@@ -1,7 +1,7 @@
-"""JSON Lines files: one JSON object per line, UTF-8.
+"""JSON files and JSON Lines files (one JSON object per line), UTF-8.
 
-Every JSONL input (manifests, plans, eval pairs) is read and every JSONL
-output written here, so all of them take the same input rules.
+Every JSON and JSONL input (weights, configs, manifests, plans, eval pairs)
+is read and every JSONL output written here, so all inputs take one rule set.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from .errors import open_text
 def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per non-blank line of `path`.
 
-    A UTF-8 byte order mark is skipped. Text that is not UTF-8 raises
-    `error`, naming the line; invalid JSON or a line that is not a JSON
-    object raises it naming the row.
+    Text that is not UTF-8 raises `error`, naming the line; invalid JSON
+    or a line that is not a JSON object raises it naming the row.
     """
-    with open_text(path, error, "utf-8-sig") as f:
+    with open_text(path, error) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
@@ -31,6 +30,18 @@ def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
             if not isinstance(record, dict):
                 raise error(f"{path}: row {lineno}: expected a JSON object")
             yield lineno, record
+
+
+def read_json_object(path: str | Path, error: type[Exception]) -> dict:
+    """The JSON object that is the whole of `path`, under the same rules."""
+    with open_text(path, error) as f:
+        try:
+            data = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: expected a JSON object")
+    return data
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:

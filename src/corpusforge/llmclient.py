@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from .jsonl import read_json_object
 from .rechain import SentencePlan, WordInventory, batch_plans
 
 API_KEY_ENV = "CORPUSFORGE_LLM_KEY"
@@ -107,13 +108,7 @@ def load_request(
     path: str | Path, inventory_words: tuple[str, ...], sentence_count: int
 ) -> GenerationRequest:
     """The request configured by the adapter JSON at `path`."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            config = json.load(f)
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise LlmConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise LlmConfigError(f"{path}: expected a JSON object")
+    config = read_json_object(path, LlmConfigError)
     fields = {key: config[key] for key in _CONFIG_KEYS if key in config}
     for key, value in fields.items():
         if not isinstance(value, str):

@@ -28,13 +28,14 @@ tie-breaks equal those of rescanning every candidate at every step.
 from __future__ import annotations
 
 import heapq
-import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import CorpusForgeError, open_text
+from .errors import CorpusForgeError
+from .jsonl import read_json_object
 from .lexicon import BiphoneSet, Lexicon, OovWordError, Phoneme, PhonemeSequence
 from .lexicon import biphones as _biphones
 from .lexicon import phonemize
@@ -113,20 +114,16 @@ class PhonemeWeights:
         if not self.weights:
             raise SelectionError("target phoneme set is empty")
         for p, alpha in self.weights.items():
-            # `not alpha > 0` also rejects NaN, which would leave the
-            # selection heap without a consistent order.
-            if not p or not alpha > 0:
-                raise SelectionError(f"weight for {p!r} must be > 0, got {alpha}")
+            # NaN (which fails both comparisons) would leave the selection heap
+            # without a consistent order; infinity would end diminishing returns.
+            if not p or not 0 < alpha < math.inf:
+                raise SelectionError(
+                    f"weight for {p!r} must be finite and > 0, got {alpha}"
+                )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PhonemeWeights":
-        try:
-            with open_text(path, SelectionError) as f:
-                data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise SelectionError(f"{path}: invalid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise SelectionError(f"{path}: weights file must be a JSON object")
+        data = read_json_object(path, SelectionError)
         try:
             return cls({str(k): float(v) for k, v in data.items()})
         except (TypeError, ValueError) as exc:

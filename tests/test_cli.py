@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -635,6 +636,15 @@ JSONL_INPUTS = {
 }
 
 
+# Per command reading a JSONL input: a record holding a JSON array where a
+# string or number belongs.
+JSONL_ARRAY_FIELDS = {
+    "eval": {"id": ["a"], "reference": "der hund", "hypothesis": "der hund"},
+    "concat": _plan_record("der", recording=["der.wav"]),
+    "split": {**_manifest_row("die"), "word": ["die"]},
+}
+
+
 class TestJsonlInputs:
     """Pairs, plans and manifests share one JSONL reader and its rules."""
 
@@ -662,7 +672,9 @@ class TestJsonlInputs:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", list(JSONL_INPUTS))
-    @pytest.mark.parametrize("bad", ["invalid JSON", "not an object", "wrong type"])
+    @pytest.mark.parametrize(
+        "bad", ["invalid JSON", "not an object", "wrong type", "JSON array"]
+    )
     def test_bad_record_is_data_error_naming_its_row(
         self, toy_corpus, tmp_path, capsys, command, bad
     ):
@@ -671,6 +683,7 @@ class TestJsonlInputs:
             "invalid JSON": '{"id": ',
             "not an object": "[1, 2]",
             "wrong type": json.dumps(wrong_type),
+            "JSON array": json.dumps(JSONL_ARRAY_FIELDS[command]),
         }[bad]
         text = f"{json.dumps(good[0])}\n\n{bad_line}\n{json.dumps(good[1])}\n"
         code, out = self._run(command, toy_corpus, tmp_path, text, "bad")
@@ -745,7 +758,7 @@ LLM_CONFIG = {
     [
         (b"[1, 2]", "expected a JSON object"),
         (json.dumps({**LLM_CONFIG, "model_name": "m\u00e4"}, ensure_ascii=False)
-         .encode("latin-1"), "invalid JSON"),
+         .encode("latin-1"), "line 1: not UTF-8 text (byte 0xe4)"),
         *[
             (json.dumps({**LLM_CONFIG, key: value}).encode(), f"{key} must be a string")
             for key, value in [
@@ -777,6 +790,38 @@ def test_bad_llm_config_is_usage_error(toy_corpus, tmp_path, capsys, content, me
     assert err.startswith(f"corpusforge: error: {llm_config}: ")
     assert message in err
     assert not (out / "run.json").exists()
+
+
+# The option files, as TEXT_INPUTS gives the data inputs; {url} stands for
+# the stub server's endpoint.
+OPTION_FILES = {
+    "config": ("cfg.json", json.dumps({"train_ratio": 0.5}).encode(), lambda root: [
+        "split", "--manifest", root / "manifest.csv", "--policy", "strict",
+        "--seed", 1, "--config", root / "cfg.json"]),
+    "llm.json": ("llm.json", json.dumps({**LLM_CONFIG, "endpoint_url": "{url}"}).encode(),
+                 lambda root: ["rechain", "llm", "--manifest", root / "manifest.csv",
+                               "--llm-config", root / "llm.json", "--count", 2]),
+}
+
+
+@pytest.mark.parametrize("name", [*TEXT_INPUTS, *OPTION_FILES])
+def test_byte_order_mark_is_skipped_on_every_input(
+    toy_corpus, tmp_path, monkeypatch, name
+):
+    monkeypatch.setenv("CORPUSFORGE_LLM_KEY", "k")
+    file_name, content, argv = {**TEXT_INPUTS, **OPTION_FILES}[name]
+    path = toy_corpus / file_name
+    outputs = []
+    with stub_server([(200, {"text": "der hund bellt\nkatze tanzt"})]) as srv:
+        plain = path.read_bytes() if content is None else content
+        for label, mark in [("plain", b""), ("bom", b"\xef\xbb\xbf")]:
+            path.write_bytes(mark + plain.replace(b"{url}", srv.url.encode()))
+            out = tmp_path / label
+            assert run_cli(*argv(toy_corpus), "--out-dir", out) == 0
+            outputs.append({
+                p.name: p.read_bytes() for p in out.iterdir() if p.name != "run.json"
+            })
+    assert outputs[0] == outputs[1]
 
 
 class TestReportCommand:
@@ -868,6 +913,36 @@ def test_import_loads_only_the_standard_library(module):
     assert result.stdout.strip() == "[]"
 
 
+def _reads_text(call: ast.Call) -> bool:
+    """Whether `call` is open() without a write mode, .read_text() or json.load()."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+        return not any(
+            isinstance(m, ast.Constant) and set(str(m.value)) & set("wax") for m in modes
+        )
+    return isinstance(func, ast.Attribute) and (
+        func.attr == "read_text"
+        or (func.attr == "load" and isinstance(func.value, ast.Name)
+            and func.value.id == "json")
+    )
+
+
+def test_input_files_are_decoded_in_one_place():
+    # errors.open_text decodes every input file and jsonl.py parses every
+    # JSON one; a second reader would bring back its own rules for a byte
+    # order mark or a byte that is not UTF-8. read_bytes stays allowed.
+    package = Path(corpusforge.__file__).parent
+    readers = [
+        f"{module.name}:{node.lineno}"
+        for module in sorted(package.glob("*.py"))
+        if module.name not in ("errors.py", "jsonl.py")
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _reads_text(node)
+    ]
+    assert readers == []
+
+
 def test_run_json_contents(toy_corpus, tmp_path):
     out = tmp_path / "out"
     run_cli(
@@ -885,11 +960,15 @@ def test_run_json_contents(toy_corpus, tmp_path):
     assert "created_at" in run
 
 
-# (config file contents or None, argv with {toy} for the fixture, text the
+# (config file JSON, bytes or None, argv with {toy} for the fixture, text the
 # error must contain). Each check fails before any output is written.
 USAGE_PROBES = {
     "config-not-an-object": (
         [1], "select --corpus {toy}/corpus.txt --k 2", "config",
+    ),
+    "config-not-utf8": (
+        b'{"k": 2,\n\xe4}', "select --corpus {toy}/corpus.txt",
+        "cfg.json: line 2: not UTF-8 text (byte 0xe4)",
     ),
     "seeds-not-an-object": (
         {"seeds": 5},
@@ -932,7 +1011,9 @@ def test_bad_option_is_usage_error_naming_it(
     if "--out-dir" not in args:
         args += ["--out-dir", out]
     if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        if not isinstance(config, bytes):
+            config = json.dumps(config).encode()
+        (tmp_path / "cfg.json").write_bytes(config)
         args += ["--config", tmp_path / "cfg.json"]
     assert run_cli(*args) == 1
     assert key in capsys.readouterr().err

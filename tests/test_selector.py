@@ -135,10 +135,15 @@ class TestPwps:
         with pytest.raises(SelectionError):
             PhonemeWeights({})
 
-    def test_nonpositive_weight_is_error(self):
-        for alpha in (0.0, float("nan")):
-            with pytest.raises(SelectionError):
+    def test_nonpositive_weight_is_error(self, tmp_path):
+        for alpha in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(SelectionError, match="weight for 's' must be"):
                 PhonemeWeights({"s": alpha})
+        # Python's json module parses Infinity.
+        path = tmp_path / "weights.json"
+        path.write_text('{"s": Infinity}')
+        with pytest.raises(SelectionError, match="'s' must be finite and > 0"):
+            PhonemeWeights.from_json(path)
 
     def test_budget_beyond_pool_selects_all(self):
         pool = pool_of([("a", ("s",)), ("b", ("t",))])
