@@ -6,6 +6,8 @@ anything else is rejected with the offending header field named, rather
 than resampled or converted behind the caller's back.
 Concatenation inserts digital-zero gaps between clips and can apply linear
 fades at clip edges. All length arithmetic is in integer samples.
+:func:`render` joins many sentence plans the same way, reading and fading
+each recording once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import CorpusForgeError
 
@@ -21,6 +23,8 @@ from .errors import CorpusForgeError
 # never touches audio starts without it.
 if TYPE_CHECKING:
     import numpy as np
+
+    from .rechain import SentencePlan
 
 WAVE_FORMAT_PCM = 1
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
@@ -157,15 +161,32 @@ def _check_extensible(path, fmt: bytes, bits: int) -> None:
         )
 
 
+def _check_wav_size(num_samples: int) -> None:
+    """RIFF sizes are 32-bit: the data of one file ends below 4 GiB."""
+    if 36 + 2 * num_samples > 0xFFFFFFFF:
+        raise AudioError(
+            f"{num_samples} samples are too many for one WAV file "
+            f"(at most {(0xFFFFFFFF - 36) // 2})"
+        )
+
+
 def write_wav(clip: AudioClip, path: str | Path) -> None:
     """Write a clip as canonical 16-bit mono PCM WAV. Round-trips bit-exactly."""
-    pcm = clip.samples.astype("<i2").tobytes()
+    n = clip.duration_samples
+    _check_wav_size(n)
     rate = clip.sample_rate
-    header = b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE"
-    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
-    header += b"data" + struct.pack("<I", len(pcm))
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * n, b"WAVE",
+        b"fmt ", 16, 1, 1, rate, rate * 2, 2, 16, b"data", 2 * n,
+    )
+    import numpy as np
+
+    # On a little-endian host a contiguous int16 array is written as it is,
+    # without a copy.
+    pcm = np.ascontiguousarray(clip.samples, dtype="<i2")
     with open(path, "wb") as f:
-        f.write(header + pcm)
+        f.write(header)
+        f.write(pcm)
 
 
 def _fade(samples: np.ndarray, fade_samples: int) -> np.ndarray:
@@ -180,13 +201,10 @@ def _fade(samples: np.ndarray, fade_samples: int) -> np.ndarray:
     return np.round(out).astype(np.int16)
 
 
-def concat(clips: Sequence[AudioClip], spec: ConcatSpec) -> AudioClip:
-    """Join clips in order with silence gaps, returning one clip.
+def _layout(clips: Sequence[AudioClip], spec: ConcatSpec) -> tuple[int, int, int]:
+    """Check that `clips` can be joined under `spec`.
 
-    Output length is exactly ``sum(clip lengths) + (n - 1) * gap_samples``.
-    With gap 0 and fade 0 this is plain sample-buffer concatenation. Clips
-    must share one sample rate; mixing rates is an error, never an implicit
-    resample.
+    Returns the common sample rate and the gap and fade in samples.
     """
     if not clips:
         raise AudioError("nothing to concatenate")
@@ -201,24 +219,74 @@ def concat(clips: Sequence[AudioClip], spec: ConcatSpec) -> AudioClip:
         raise AudioError(
             f"fade of {fade} samples exceeds half the shortest clip ({shortest})"
         )
+    return rate, gap, fade
+
+
+def _join(
+    pieces: Sequence[np.ndarray], gap: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """`pieces` in order with `gap` zero samples between them, into `out` if given."""
     import numpy as np
 
-    silence = np.zeros(gap, dtype=np.int16)
-    pieces: list[np.ndarray] = []
-    for i, clip in enumerate(clips):
-        if i:
-            pieces.append(silence)
-        pieces.append(_fade(clip.samples, fade))
-    return AudioClip(samples=np.concatenate(pieces), sample_rate=rate)
+    if gap and len(pieces) > 1:
+        silence = np.zeros(gap, dtype=np.int16)
+        pieces = [x for piece in pieces for x in (silence, piece)][1:]
+    return np.concatenate(pieces, out=out)
 
 
-def load_plan_clips(plan, audio_root: str | Path) -> list[AudioClip]:
-    """Resolve a sentence plan's recording references under `audio_root`."""
+def concat(clips: Sequence[AudioClip], spec: ConcatSpec) -> AudioClip:
+    """Join clips in order with silence gaps, returning one clip.
+
+    Output length is exactly ``sum(clip lengths) + (n - 1) * gap_samples``.
+    With gap 0 and fade 0 this is plain sample-buffer concatenation. Clips
+    must share one sample rate; mixing rates is an error, never an implicit
+    resample.
+    """
+    rate, gap, fade = _layout(clips, spec)
+    pieces = [_fade(clip.samples, fade) for clip in clips]
+    return AudioClip(samples=_join(pieces, gap), sample_rate=rate)
+
+
+def render(
+    plans: Iterable[SentencePlan], audio_root: str | Path, spec: ConcatSpec
+) -> Iterator[AudioClip]:
+    """Yield ``concat`` of each sentence plan's recordings under `audio_root`.
+
+    A plan's recording references are resolved in order; a missing file is
+    an error. Each distinct reference is read and faded once, on its first
+    use, and only its faded samples are kept. Every yielded clip is a view
+    of one buffer that the next plan overwrites, so write or copy it
+    before asking for the next. A plan raises what reading and joining
+    its clips one by one would raise, and an utterance too long for one
+    WAV file raises before its buffer is allocated.
+    """
+    import numpy as np
+
     root = Path(audio_root)
-    clips = []
-    for _, ref in plan.words:
-        path = root / ref
-        if not path.is_file():
-            raise AudioError(f"recording not found: {path}")
-        clips.append(read_wav(path))
-    return clips
+    faded: dict[str, AudioClip] = {}
+    buffer = np.empty(0, dtype=np.int16)
+    for plan in plans:
+        clips = []
+        for _, ref in plan.words:
+            clip = faded.get(ref)
+            if clip is None:
+                clip = faded[ref] = _read_faded(root / ref, spec)
+            clips.append(clip)
+        rate, gap, _ = _layout(clips, spec)
+        n = sum(c.duration_samples for c in clips) + gap * (len(clips) - 1)
+        _check_wav_size(n)
+        if n > buffer.shape[0]:
+            buffer = np.empty(n, dtype=np.int16)
+        samples = _join([c.samples for c in clips], gap, out=buffer[:n])
+        yield AudioClip(samples=samples, sample_rate=rate)
+
+
+def _read_faded(path: Path, spec: ConcatSpec) -> AudioClip:
+    if not path.is_file():
+        raise AudioError(f"recording not found: {path}")
+    clip = read_wav(path)
+    fade = _ms_to_samples(spec.fade_ms, clip.sample_rate)
+    if fade > clip.duration_samples // 2:
+        # Too short to fade: every plan that uses it fails _layout's check.
+        return clip
+    return AudioClip(samples=_fade(clip.samples, fade), sample_rate=clip.sample_rate)

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import __version__
-from .audio import ConcatSpec, concat, load_plan_clips, write_wav
+from .audio import ConcatSpec, render, write_wav
 from .dataset import (
     POLICIES,
     audit_leakage,
@@ -42,7 +42,7 @@ from .dataset import (
     write_assignment,
 )
 from .errors import CorpusForgeError, open_text, strict_int
-from .jsonl import read_json_object, read_jsonl, write_jsonl
+from .jsonl import NON_TEXT_KINDS, read_json_object, read_jsonl, write_jsonl
 from .lexicon import load_lexicon
 from .llmclient import (
     LlmClientError,
@@ -412,8 +412,7 @@ def cmd_concat(run: _Run) -> None:
 
     plans = read_plans(run.inputs["plan"])
     records = []
-    for index, plan in enumerate(plans):
-        clip = concat(load_plan_clips(plan, audio_root), spec)
+    for index, (plan, clip) in enumerate(zip(plans, render(plans, audio_root, spec))):
         name = f"utt_{index:04d}.wav"
         write_wav(clip, out_dir / name)
         records.append(
@@ -461,9 +460,11 @@ def cmd_eval(run: _Run) -> None:
             raise CorpusForgeError(
                 f"{pairs_path}: row {lineno}: reference and hypothesis must be strings"
             )
-        pair_id = record.get("id", lineno)
-        if isinstance(pair_id, (list, dict)):
-            kind = "array" if isinstance(pair_id, list) else "object"
+        pair_id = record.get("id")
+        if pair_id is None:
+            pair_id = lineno
+        kind = NON_TEXT_KINDS.get(type(pair_id))
+        if kind:
             raise CorpusForgeError(
                 f"{pairs_path}: row {lineno}: id must be a string or number, "
                 f"got a JSON {kind}"

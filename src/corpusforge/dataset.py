@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import CorpusForgeError, open_text, strict_int
-from .jsonl import read_jsonl
+from .jsonl import NON_TEXT_KINDS, read_jsonl
 from .textnorm import normalize_word
 
 logger = logging.getLogger(__name__)
@@ -142,8 +142,8 @@ def _build_manifest(
 def _jsonl_rows(path: Path) -> tuple[list[int], list[list]]:
     """Line numbers and value lists of the non-blank lines.
 
-    A JSON array or object in a text field is an error naming the row and
-    field; ``str()`` would turn it into text.
+    A JSON array, object or boolean in a text field is an error naming the
+    row and field; ``str()`` would turn it into text.
     """
     linenos, rows = [], []
     for lineno, record in read_jsonl(path, ManifestError):
@@ -155,8 +155,8 @@ def _jsonl_rows(path: Path) -> tuple[list[int], list[list]]:
             )
         values = [record.get(c) for c in MANIFEST_COLUMNS]
         for name, value in zip(MANIFEST_COLUMNS, values):
-            if isinstance(value, (list, dict)) and name != "repetition_index":
-                kind = "array" if isinstance(value, list) else "object"
+            kind = NON_TEXT_KINDS.get(type(value))
+            if kind and name != "repetition_index":
                 raise ManifestError(
                     f"{path}: row {lineno}: {name} must be a string or number, "
                     f"got a JSON {kind}"

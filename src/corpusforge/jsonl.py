@@ -12,6 +12,10 @@ from typing import Iterable, Iterator
 
 from .errors import open_text
 
+# JSON values that str() would spell as Python does ("['a']", "True"): a
+# field read as text rejects them, naming their kind.
+NON_TEXT_KINDS = {list: "array", dict: "object", bool: "boolean"}
+
 
 def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per non-blank line of `path`.

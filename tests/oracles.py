@@ -5,8 +5,9 @@ distance follows the textbook recursion, the weighted-selection oracle
 recomputes scores from scratch at every step, the maximum-coverage
 reference tries every subset, the manifest loader reads rows through
 ``csv.DictReader`` and per-column dict lookups, the lexicon parser builds
-every phoneme tuple as it reads, and the pool generator only uses the
-public constructors.
+every phoneme tuple as it reads, the plan renderer reads and fades every
+recording anew for each plan, and the pool generator only uses the public
+constructors.
 """
 
 from __future__ import annotations
@@ -17,12 +18,16 @@ import itertools
 import json
 import logging
 import random
+import struct
 import unicodedata
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from corpusforge.audio import AudioError, ConcatSpec, read_wav
 from corpusforge.dataset import (
     MANIFEST_COLUMNS,
     ManifestError,
@@ -30,6 +35,7 @@ from corpusforge.dataset import (
     RecordingManifest,
 )
 from corpusforge.lexicon import Lexicon, LexiconError, PhonemeSequence
+from corpusforge.rechain import SentencePlan
 from corpusforge.selector import (
     CandidatePool,
     CandidateWord,
@@ -318,7 +324,9 @@ def manifest_oracle(path: str | Path) -> RecordingManifest:
                         path, lineno, ", ".join(sorted(extra)),
                     )
                 for c in MANIFEST_COLUMNS:
-                    kind = {list: "array", dict: "object"}.get(type(record.get(c)))
+                    kind = {list: "array", dict: "object", bool: "boolean"}.get(
+                        type(record.get(c))
+                    )
                     if kind and c != "repetition_index":
                         raise ManifestError(
                             f"{path}: row {lineno}: {c} must be a string or "
@@ -371,3 +379,50 @@ def lexicon_oracle(source: Iterable[str]) -> Lexicon:
         entries[word] = phonemes
         seen_line[word] = lineno
     return Lexicon(entries)
+
+
+def concat_oracle(
+    plan: SentencePlan, audio_root: str | Path, spec: ConcatSpec
+) -> bytes:
+    """The WAV file ``concat`` writes for one plan, built from that plan alone.
+
+    Every recording is checked and read for this plan, each clip is faded
+    in float64 and rounded, the pieces and gaps are joined with one
+    ``np.concatenate``, and the header and samples become one ``bytes``.
+    Raises what the command raises for the plan, with the same message.
+    """
+    root = Path(audio_root)
+    clips = []
+    for _, ref in plan.words:
+        path = root / ref
+        if not path.is_file():
+            raise AudioError(f"recording not found: {path}")
+        clips.append(read_wav(path))
+    rates = sorted({c.sample_rate for c in clips})
+    if len(rates) > 1:
+        raise AudioError(f"mixed sample rates: {rates}")
+    rate = rates[0]
+    gap = (spec.gap_ms * rate + 500) // 1000
+    fade = (spec.fade_ms * rate + 500) // 1000
+    shortest = min(len(c.samples) for c in clips)
+    if fade > shortest // 2:
+        raise AudioError(
+            f"fade of {fade} samples exceeds half the shortest clip ({shortest})"
+        )
+    pieces = []
+    for i, clip in enumerate(clips):
+        if i:
+            pieces.append(np.zeros(gap, dtype=np.int16))
+        samples = clip.samples
+        if fade:
+            faded = samples.astype(np.float64)
+            ramp = np.arange(fade, dtype=np.float64) / fade
+            faded[:fade] *= ramp
+            faded[-fade:] *= ramp[::-1]
+            samples = np.round(faded).astype(np.int16)
+        pieces.append(samples)
+    pcm = np.concatenate(pieces).astype("<i2").tobytes()
+    header = b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE"
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
+    header += b"data" + struct.pack("<I", len(pcm))
+    return header + pcm

@@ -1,8 +1,14 @@
+import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from corpusforge import audio
 from corpusforge.audio import (
     AudioClip,
     AudioError,
@@ -11,10 +17,13 @@ from corpusforge.audio import (
     WavParseError,
     concat,
     read_wav,
+    render,
     write_wav,
 )
+from corpusforge.rechain import SentencePlan
 
 from conftest import tone_clip
+from oracles import concat_oracle
 
 
 def test_read_valid_clip_header_arithmetic(tmp_path):
@@ -200,3 +209,109 @@ class TestConcat:
 def test_negative_gap_rejected():
     with pytest.raises(AudioError):
         ConcatSpec(gap_ms=-1)
+
+
+# 2**31 samples with no memory behind them: one more than fits in a WAV file.
+HUGE = 2**31
+
+
+def _zeros(n: int) -> np.ndarray:
+    return np.broadcast_to(np.zeros(1, dtype=np.int16), (n,))
+
+
+def test_write_wav_too_long_for_riff_is_error_naming_sample_count(tmp_path):
+    path = tmp_path / "long.wav"
+    with pytest.raises(AudioError, match=f"^{HUGE} samples .*at most {HUGE - 19}"):
+        write_wav(AudioClip(samples=_zeros(HUGE), sample_rate=16000), path)
+    assert not path.exists()
+
+
+def test_render_too_long_for_riff_is_error_before_allocating(tmp_path, monkeypatch):
+    half = AudioClip(samples=_zeros(HUGE // 2), sample_rate=16000)
+    monkeypatch.setattr(audio, "read_wav", lambda path: half)
+    (tmp_path / "a.wav").touch()
+    plan = SentencePlan((("a", "a.wav"), ("a", "a.wav")), "manual")
+    # Fail, rather than fill 4 GiB, if the output buffer is allocated.
+    empty = np.empty
+
+    def small_empty(shape, *args, **kwargs):
+        assert np.prod(shape) < 2**20, f"allocated {shape} samples"
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", small_empty)
+    with pytest.raises(AudioError, match=f"^{HUGE} samples"):
+        next(render([plan], tmp_path, ConcatSpec(gap_ms=0)))
+
+
+# -- render against the per-plan oracle -------------------------------------
+
+# Clips are a few hundred samples at 8 or 16 kHz, so a fade of a few ms is
+# often more than half of one. Plans repeat names, and some name a missing
+# file or one that is not a WAV.
+@st.composite
+def render_cases(draw):
+    clips = {}
+    for i in range(draw(st.integers(1, 4))):
+        rate = draw(st.sampled_from([8000, 8000, 8000, 16000]))
+        n = draw(st.integers(0, 400))
+        seed = draw(st.integers(0, 2**32 - 1))
+        samples = np.random.default_rng(seed).integers(
+            -32768, 32768, n, dtype=np.int16
+        )
+        clips[f"c{i}.wav"] = AudioClip(samples=samples, sample_rate=rate)
+    broken = draw(st.sampled_from([[], ["missing.wav"], ["bad.wav"]]))
+    refs = st.sampled_from([*clips, *clips, *clips, *clips, *broken])
+    plans = draw(st.lists(st.lists(refs, min_size=1, max_size=5), min_size=1, max_size=6))
+    spec = ConcatSpec(
+        gap_ms=draw(st.sampled_from([0, 2])), fade_ms=draw(st.sampled_from([0, 1, 3, 5]))
+    )
+    plans = [
+        SentencePlan(tuple((f"w{j}", ref) for j, ref in enumerate(p)), "manual")
+        for p in plans
+    ]
+    return clips, plans, spec
+
+
+def _outcomes(render_plan, plans) -> list:
+    """Per plan, the WAV bytes, until the first error: its type and message."""
+    outcomes = []
+    try:
+        for plan in plans:
+            outcomes.append(render_plan(plan))
+    except AudioError as exc:
+        outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(render_cases())
+def test_render_matches_per_plan_oracle(case):
+    clips, plans, spec = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, clip in clips.items():
+            write_wav(clip, root / name)
+        (root / "bad.wav").write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+        out = root / "out.wav"
+
+        def wav_bytes(clip):
+            write_wav(clip, out)
+            return out.read_bytes()
+
+        expected = _outcomes(lambda plan: concat_oracle(plan, root, spec), plans)
+        rendered = render(plans, root, spec)
+        assert _outcomes(lambda plan: wav_bytes(next(rendered)), plans) == expected
+
+        # concat, the public join, agrees on every plan of readable clips.
+        def joined(plan):
+            return wav_bytes(concat([clips[ref] for _, ref in plan.words], spec))
+
+        for plan, want in zip(plans, expected):
+            if all(ref in clips for _, ref in plan.words):
+                assert _outcomes(joined, [plan]) == [want]
+        last = expected[-1]
+        if isinstance(last, bytes):
+            event("every plan rendered")
+        else:
+            message = re.sub(r"\d+", "N", last[1].replace(tmp, ""))[:40]
+            event(f"{message} (plan {'N' if len(expected) > 1 else 0})")

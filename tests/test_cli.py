@@ -7,9 +7,12 @@ from pathlib import Path
 import pytest
 
 import corpusforge
-from corpusforge import metrics
+from corpusforge import audio, metrics
+from corpusforge.audio import ConcatSpec
 from corpusforge.cli import COMMANDS, OUT_DIR, build_parser, main
+from corpusforge.rechain import SentencePlan, write_plans
 
+from oracles import concat_oracle
 from stubserver import stub_server
 
 
@@ -406,6 +409,37 @@ class TestRechainAndConcat:
         ) == 0
         assert read_json(out / "run.json")["config"]["fade_ms"] == 0
 
+    @pytest.mark.parametrize("fade_ms", [0, 5])
+    def test_concat_reads_each_recording_once(
+        self, toy_corpus, tmp_path, monkeypatch, fade_ms
+    ):
+        refs = ["der.wav", "hund.wav", "der.wav", "katze.wav", "hund.wav", "der.wav"]
+        plans = [
+            SentencePlan(tuple((ref[:-4], ref) for ref in refs[i : i + 3]), "manual")
+            for i in range(4)
+        ]
+        write_plans(plans, tmp_path / "plans.jsonl")
+        reads = []
+        read_wav = audio.read_wav
+
+        def counting_read_wav(path):
+            reads.append(path)
+            return read_wav(path)
+
+        monkeypatch.setattr(audio, "read_wav", counting_read_wav)
+        out = tmp_path / "wavs"
+        assert run_cli(
+            "concat", "--plan", tmp_path / "plans.jsonl",
+            "--audio-root", toy_corpus / "audio",
+            "--gap-ms", 40, "--fade-ms", fade_ms, "--out-dir", out,
+        ) == 0
+        assert len(reads) == len(set(refs)) == 3
+        spec = ConcatSpec(gap_ms=40, fade_ms=fade_ms)
+        for index, plan in enumerate(plans):
+            assert (out / f"utt_{index:04d}.wav").read_bytes() == concat_oracle(
+                plan, toy_corpus / "audio", spec
+            )
+
     @pytest.mark.parametrize("gap", ["wide", 1.5, True, 1e999])
     def test_non_integer_gap_in_config_is_usage_error(
         self, toy_corpus, tmp_path, capsys, gap
@@ -636,12 +670,17 @@ JSONL_INPUTS = {
 }
 
 
-# Per command reading a JSONL input: a record holding a JSON array where a
-# string or number belongs.
+# Per command reading a JSONL input: a record holding a JSON array, and one
+# holding a JSON boolean, where a string or number belongs.
 JSONL_ARRAY_FIELDS = {
     "eval": {"id": ["a"], "reference": "der hund", "hypothesis": "der hund"},
     "concat": _plan_record("der", recording=["der.wav"]),
     "split": {**_manifest_row("die"), "word": ["die"]},
+}
+JSONL_BOOLEAN_FIELDS = {
+    "eval": {"id": True, "reference": "der hund", "hypothesis": "der hund"},
+    "concat": _plan_record("der", recording=True),
+    "split": {**_manifest_row("die"), "transcript": False},
 }
 
 
@@ -673,7 +712,8 @@ class TestJsonlInputs:
 
     @pytest.mark.parametrize("command", list(JSONL_INPUTS))
     @pytest.mark.parametrize(
-        "bad", ["invalid JSON", "not an object", "wrong type", "JSON array"]
+        "bad",
+        ["invalid JSON", "not an object", "wrong type", "JSON array", "JSON boolean"],
     )
     def test_bad_record_is_data_error_naming_its_row(
         self, toy_corpus, tmp_path, capsys, command, bad
@@ -684,6 +724,7 @@ class TestJsonlInputs:
             "not an object": "[1, 2]",
             "wrong type": json.dumps(wrong_type),
             "JSON array": json.dumps(JSONL_ARRAY_FIELDS[command]),
+            "JSON boolean": json.dumps(JSONL_BOOLEAN_FIELDS[command]),
         }[bad]
         text = f"{json.dumps(good[0])}\n\n{bad_line}\n{json.dumps(good[1])}\n"
         code, out = self._run(command, toy_corpus, tmp_path, text, "bad")
@@ -691,7 +732,18 @@ class TestJsonlInputs:
         err = capsys.readouterr().err
         assert err.startswith("corpusforge: data error: ")
         assert "bad.jsonl: row 3: " in err
+        if bad.startswith("JSON ") and command != "concat":
+            assert f"must be a string or number, got a {bad}" in err
         assert not (out / "run.json").exists()
+
+    def test_null_pair_id_falls_back_to_line_number(self, toy_corpus, tmp_path):
+        pairs = [{"id": None, "reference": "der hund", "hypothesis": "der hund"},
+                 {"reference": "die katze", "hypothesis": "die kaze"}]
+        text = "".join(json.dumps(p) + "\n" for p in pairs)
+        code, out = self._run("eval", toy_corpus, tmp_path, text, "null")
+        assert code == 0
+        report = json.loads((out / "eval_report.json").read_text(encoding="utf-8"))
+        assert [p["id"] for p in report["pairs"]] == ["1", "2"]
 
 
 def _select(lexicon="lexicon.tsv", corpus="corpus.txt", weights="weights.json"):

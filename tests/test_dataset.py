@@ -344,9 +344,10 @@ GOOD_JSON = {
 }
 BAD_JSON = {
     "repetition_index": [-1, 2.5, "x", [1]],
-    "transcript": [None, ["hund"]],
-    "word": ["", ["Hund"]],
+    "transcript": [None, ["hund"], False],
+    "word": ["", ["Hund"], True],
     "audio_path": ["", {"p": 1}],
+    "speaker_id": ["", True],
 }
 
 
