@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CorpusForgeError, open_text, strict_int
 from .jsonl import NON_TEXT_KINDS, read_jsonl
@@ -76,20 +76,63 @@ class RecordingEntry(NamedTuple):
         return f"{self[0]}|{self[1]}|{self[2]}|{self[3]}|{self[4]}|{self[5]}"
 
 
-@dataclass(frozen=True)
 class RecordingManifest:
-    """Validated recording entries in stable file order."""
+    """Validated recordings in stable file order, held column by column.
 
-    entries: tuple[RecordingEntry, ...]
+    ``columns`` maps each name in ``MANIFEST_COLUMNS`` to the tuple of its
+    values, and ``entry_ids`` holds each row's ``entry_id``; both are built
+    once. ``entries`` builds the ``RecordingEntry`` rows on first access.
+    ``RecordingManifest(entries)`` takes rows built in code, unchecked.
+    """
+
+    __slots__ = ("columns", "entry_ids", "_entries")
+
+    def __init__(self, entries: Iterable[RecordingEntry]):
+        self._entries = tuple(entries)
+        values = list(zip(*self._entries)) or [()] * len(MANIFEST_COLUMNS)
+        self.columns = dict(zip(MANIFEST_COLUMNS, values))
+        self.entry_ids = tuple([
+            f"{s}|{t}|{b}|{m}|{w}|{r}" for s, t, b, m, w, r in zip(*values[:6])
+        ])
+
+    @classmethod
+    def _of_columns(
+        cls, values: Sequence[tuple], entry_ids: tuple[str, ...]
+    ) -> "RecordingManifest":
+        manifest = cls.__new__(cls)
+        manifest.columns = dict(zip(MANIFEST_COLUMNS, values))
+        manifest.entry_ids = entry_ids
+        manifest._entries = None
+        return manifest
+
+    @property
+    def entries(self) -> tuple[RecordingEntry, ...]:
+        if self._entries is None:
+            self._entries = tuple(map(
+                RecordingEntry._make, zip(*self.columns.values())
+            ))
+        return self._entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.entry_ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecordingManifest):
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.columns.values()))
 
 
-def _build_manifest(
-    linenos: Sequence[int], rows: list[Sequence], source: str
+def _manifest_from_rows(
+    linenos: Sequence[int], rows: Iterable[Sequence], source: str
 ) -> RecordingManifest:
-    """Entries from rows of values in ``MANIFEST_COLUMNS`` order."""
+    """Check rows of values in ``MANIFEST_COLUMNS`` order one by one.
+
+    The exact checks, naming the first bad row; ``_build_manifest`` runs
+    them only when a column check fails.
+    """
     entries: list[RecordingEntry] = []
     seen: dict[tuple, int] = {}
     words: dict[str, str] = {}  # raw word -> normalized; words repeat per mic/rep
@@ -126,6 +169,11 @@ def _build_manifest(
             str(speaker), str(session), str(block), str(mic),
             normalized, rep, str(audio), str(transcript),
         ))
+        for name, value in zip(MANIFEST_COLUMNS, entry[:5]):
+            if "|" in value:
+                raise ManifestError(
+                    f"{source}: row {lineno}: {name} must not contain '|'"
+                )
         key = entry[:6]
         if key in seen:
             raise ManifestError(
@@ -136,11 +184,67 @@ def _build_manifest(
         entries.append(entry)
     if not entries:
         raise ManifestError(f"{source}: manifest is empty")
-    return RecordingManifest(tuple(entries))
+    return RecordingManifest(entries)
 
 
-def _jsonl_rows(path: Path) -> tuple[list[int], list[list]]:
-    """Line numbers and value lists of the non-blank lines.
+def _checked_columns(
+    columns: list[tuple], from_json: bool
+) -> RecordingManifest | None:
+    """The manifest if every check passes column by column, else None."""
+    if not columns[0]:
+        return None
+    for column in columns[:7]:
+        # "" and None are falsy; a column failing all() (a JSON 0, say)
+        # gets the exact test.
+        if not all(column) and (None in column or "" in column):
+            return None
+    if None in columns[7]:
+        return None
+    cells = columns[5]
+    try:
+        if from_json:  # 1, 1.0 and true are one set member: check each value
+            reps = tuple(map(strict_int, cells))
+            rep_texts = tuple(map(str, reps))
+        else:  # a CSV cell is text: convert each distinct one once
+            rep_of = {cell: int(cell) for cell in set(cells)}
+            text_of = {cell: str(rep) for cell, rep in rep_of.items()}
+            reps = tuple(map(rep_of.__getitem__, cells))
+            rep_texts = tuple(map(text_of.__getitem__, cells))
+    except (TypeError, ValueError):
+        return None
+    if min(reps) < 0:
+        return None
+    if from_json:
+        columns = [tuple(map(str, column)) for column in columns]
+    normalized = {word: normalize_word(word) for word in set(columns[4])}
+    words = tuple(map(normalized.__getitem__, columns[4]))
+    # The text of RecordingEntry.entry_id, row by row.
+    ids = tuple(map("|".join, zip(*columns[:4], words, rep_texts)))
+    # Each id holds exactly its five separators when no field holds "|",
+    # and then encodes its key one to one, so equal ids are equal keys.
+    if "".join(ids).count("|") != 5 * len(ids) or len(set(ids)) != len(ids):
+        return None
+    return RecordingManifest._of_columns(
+        [*columns[:4], words, reps, *columns[6:]], ids
+    )
+
+
+def _build_manifest(
+    linenos: Sequence[int], columns: list[tuple], source: str, from_json: bool
+) -> RecordingManifest:
+    """The manifest of columns in ``MANIFEST_COLUMNS`` order, each checked.
+
+    The checks run column by column; if any fails, the row loop runs them
+    again row by row for the exact message and row.
+    """
+    manifest = _checked_columns(columns, from_json)
+    if manifest is None:
+        manifest = _manifest_from_rows(linenos, zip(*columns), source)
+    return manifest
+
+
+def _jsonl_columns(path: Path) -> tuple[list[int], list[tuple]]:
+    """Line numbers and value columns of the non-blank lines.
 
     A JSON array, object or boolean in a text field is an error naming the
     row and field; ``str()`` would turn it into text.
@@ -163,20 +267,22 @@ def _jsonl_rows(path: Path) -> tuple[list[int], list[list]]:
                 )
         linenos.append(lineno)
         rows.append(values)
-    return linenos, rows
+    return linenos, list(zip(*rows)) or [()] * len(MANIFEST_COLUMNS)
 
 
-def _csv_rows(f, path: Path) -> tuple[range, list[Sequence]]:
-    """Line numbers and value rows as ``csv.DictReader`` would give them.
+def _csv_columns(f, path: Path) -> tuple[range, list[tuple]]:
+    """Line numbers and value columns as ``csv.DictReader`` would give them.
 
     Blank records are skipped and not numbered (records count from 2, after
     the header), a short row pads with None, cells past the header are
     ignored, and a column named twice takes its last cell.
     """
-    reader = csv.reader(f)
-    header = next(reader, None)
-    if header is None:
+    # Every record first, so that text that is not UTF-8 fails before the
+    # header is checked, wherever the bad byte sits.
+    records = list(csv.reader(f))
+    if not records:
         raise ManifestError(f"{path}: no header row")
+    header = records[0]
     missing = [c for c in MANIFEST_COLUMNS if c not in header]
     if missing:
         raise ManifestError(f"{path}: missing column(s) {', '.join(missing)}")
@@ -185,51 +291,58 @@ def _csv_rows(f, path: Path) -> tuple[range, list[Sequence]]:
         logger.warning("%s: ignoring unknown column(s) %s", path, ", ".join(extra))
     last = {name: i for i, name in enumerate(header)}
     index = [last[c] for c in MANIFEST_COLUMNS]
-    pick, width = itemgetter(*index), max(index) + 1
-    rows = [
-        pick(row) if len(row) >= width
-        else [row[i] if i < len(row) else None for i in index]
-        for row in filter(None, reader)
-    ]
-    return range(2, len(rows) + 2), rows
+    width = max(index) + 1
+    rows = list(filter(None, records[1:]))
+    if min(map(len, rows), default=width) < width:
+        rows = [[row[i] if i < len(row) else None for i in index] for row in rows]
+        index = range(len(MANIFEST_COLUMNS))
+    columns = [tuple(map(itemgetter(i), rows)) for i in index]
+    return range(2, len(rows) + 2), columns
 
 
 def load_manifest(path: str | Path) -> RecordingManifest:
     """Load a manifest from CSV (with header) or JSONL, by file extension.
 
     Unknown extra columns are ignored with a warning; missing required
-    columns or duplicate recording keys are errors naming the rows. A UTF-8
-    byte order mark, as Excel writes, is skipped.
+    columns, an id field holding "|" or duplicate recording keys are errors
+    naming the rows. A UTF-8 byte order mark, as Excel writes, is skipped.
     """
     path = Path(path)
-    if path.suffix.lower() in (".jsonl", ".json"):
-        linenos, rows = _jsonl_rows(path)
+    from_json = path.suffix.lower() in (".jsonl", ".json")
+    if from_json:
+        linenos, columns = _jsonl_columns(path)
     else:
         with open_text(path, ManifestError, newline="") as f:
-            linenos, rows = _csv_rows(f, path)
-    return _build_manifest(linenos, rows, str(path))
+            linenos, columns = _csv_columns(f, path)
+    return _build_manifest(linenos, columns, str(path), from_json)
 
 
-# Each policy's group key as a tuple: (word,), (speaker, session, block) or
+# Each policy's group key columns: (word,), (speaker, session, block) or
 # (speaker, session, block, word).
-_GROUP_KEYS = {
-    "strict": itemgetter(slice(4, 5)),
-    "mixed": itemgetter(slice(0, 3)),
-    "natural": itemgetter(0, 1, 2, 4),
+_GROUP_COLUMNS = {
+    "strict": ("word",),
+    "mixed": ("speaker_id", "session_id", "block_id"),
+    "natural": ("speaker_id", "session_id", "block_id", "word"),
 }
 
 
-def _group_key_of(policy: str):
+def _group_codes(
+    manifest: RecordingManifest, policy: str
+) -> tuple[list[tuple[str, ...]], list[int]]:
+    """The policy's group keys in first-seen order, and each entry's index
+    into them."""
     try:
-        return _GROUP_KEYS[policy]
+        names = _GROUP_COLUMNS[policy]
     except KeyError:
         raise SplitError(
             f"unknown policy {policy!r}, expected one of {POLICIES}"
         ) from None
-
-
-def group_key(entry: RecordingEntry, policy: str) -> tuple[str, ...]:
-    return _group_key_of(policy)(entry)
+    code_of: dict[tuple[str, ...], int] = {}
+    codes = [
+        code_of.setdefault(key, len(code_of))
+        for key in zip(*[manifest.columns[name] for name in names])
+    ]
+    return list(code_of), codes
 
 
 @dataclass(frozen=True)
@@ -253,43 +366,46 @@ def split(
     count first reaches ``train_ratio * total``; the rest go to test. If
     that leaves test empty, the smallest train group moves over. The result
     depends only on (manifest content, policy, ratio, seed), not on row
-    order.
+    order. Two entries with one ``entry_id`` are an error.
     """
     if not 0 < train_ratio < 1:
         raise SplitError(f"train_ratio must be in (0, 1), got {train_ratio}")
-    entries = manifest.entries
-    entry_keys = list(map(_group_key_of(policy), entries))
-    sizes = Counter(entry_keys)
-    if len(sizes) < 2:
+    groups, codes = _group_codes(manifest, policy)
+    if len(groups) < 2:
         raise SplitError(
             f"policy {policy!r} yields a single group; cannot fill both sides"
         )
-    canonical = sorted(sizes)
-    keys = canonical.copy()
-    random.Random(seed).shuffle(keys)
+    sizes = Counter(codes)
+    # By key tuple, not by the "|"-joined audit key: ("a", "x") comes
+    # before ("a-b", "x"), but "a-b|x" before "a|x".
+    canonical = sorted(range(len(groups)), key=groups.__getitem__)
+    order = canonical.copy()
+    random.Random(seed).shuffle(order)
 
-    target = train_ratio * len(entries)
-    train_keys: list[tuple[str, ...]] = []
+    target = train_ratio * len(codes)
+    train: list[int] = []
     count = 0
-    boundary = len(keys)
-    for i, key in enumerate(keys):
-        train_keys.append(key)
-        count += sizes[key]
+    boundary = len(order)
+    for i, code in enumerate(order):
+        train.append(code)
+        count += sizes[code]
         if count >= target:
             boundary = i + 1
             break
-    test_keys = keys[boundary:]
-    if not test_keys:
-        smallest = min(train_keys, key=lambda k: (sizes[k], k))
-        train_keys.remove(smallest)
-        test_keys = [smallest]
+    test = order[boundary:]
+    if not test:
+        smallest = min(train, key=lambda c: (sizes[c], groups[c]))
+        train.remove(smallest)
+        test = [smallest]
 
-    side_of = dict.fromkeys(train_keys, "train")
-    side_of.update(dict.fromkeys(test_keys, "test"))
-    labels = dict(zip(
-        [entry.entry_id for entry in entries], map(side_of.__getitem__, entry_keys)
-    ))
-    audit = {"|".join(key): side_of[key] for key in canonical}
+    side_of = ["train"] * len(groups)
+    for code in test:
+        side_of[code] = "test"
+    labels = dict(zip(manifest.entry_ids, map(side_of.__getitem__, codes)))
+    if len(labels) != len(codes):
+        entry_id = next(i for i, n in Counter(manifest.entry_ids).items() if n > 1)
+        raise SplitError(f"entry id {entry_id!r} names more than one entry")
+    audit = {"|".join(groups[code]): side_of[code] for code in canonical}
     return SplitAssignment(
         policy=policy,
         seed=seed,
@@ -320,19 +436,20 @@ def audit_leakage(
     Works from the labels alone (not the stored audit map), so a corrupted
     assignment shows up as spanning group keys.
     """
-    entries = manifest.entries
-    sides = list(map(assignment.labels.get, [e.entry_id for e in entries]))
+    entry_ids = manifest.entry_ids
+    sides = list(map(assignment.labels.get, entry_ids))
     train, test = sides.count("train"), sides.count("test")
     if train + test != len(sides):
-        entry = next(
-            e for e, side in zip(entries, sides) if side not in ("train", "test")
+        entry_id = next(
+            i for i, side in zip(entry_ids, sides) if side not in ("train", "test")
         )
-        raise SplitError(f"entry {entry.entry_id!r} not covered by assignment")
-    entry_keys = list(map(_group_key_of(assignment.policy), entries))
-    # A group on both sides shows up as two distinct (key, side) pairs.
-    spanning = len(set(zip(entry_keys, sides))) - len(set(entry_keys))
-    train_words = {e.word for e, side in zip(entries, sides) if side == "train"}
-    test_words = {e.word for e, side in zip(entries, sides) if side == "test"}
+        raise SplitError(f"entry {entry_id!r} not covered by assignment")
+    groups, codes = _group_codes(manifest, assignment.policy)
+    # A group on both sides shows up as two distinct (group, side) pairs.
+    spanning = len(set(zip(codes, sides))) - len(groups)
+    words = manifest.columns["word"]
+    train_words = {w for w, side in zip(words, sides) if side == "train"}
+    test_words = {w for w, side in zip(words, sides) if side == "test"}
     total = train + test
     return LeakageAudit(
         policy=assignment.policy,

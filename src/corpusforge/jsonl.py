@@ -24,7 +24,9 @@ def read_jsonl(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
     or a line that is not a JSON object raises it naming the row.
     """
     with open_text(path, error) as f:
-        for lineno, line in enumerate(f, start=1):
+        # All lines first: an unfinished UTF-8 sequence that ends the file
+        # fails only when the decoder reaches the end, after earlier rows.
+        for lineno, line in enumerate(f.readlines(), start=1):
             if not line.strip():
                 continue
             try:

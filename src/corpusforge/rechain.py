@@ -61,9 +61,10 @@ class WordInventory:
     @classmethod
     def from_manifest(cls, manifest) -> "WordInventory":
         """Group a recording manifest's audio paths by word, keeping file order."""
+        columns = manifest.columns
         grouped: dict[str, list[str]] = {}
-        for entry in manifest.entries:
-            grouped.setdefault(entry.word, []).append(entry.audio_path)
+        for word, path in zip(columns["word"], columns["audio_path"]):
+            grouped.setdefault(word, []).append(path)
         return cls({w: tuple(refs) for w, refs in grouped.items()})
 
 

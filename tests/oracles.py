@@ -4,7 +4,8 @@ Everything here deliberately avoids the production code paths: the edit
 distance follows the textbook recursion, the weighted-selection oracle
 recomputes scores from scratch at every step, the maximum-coverage
 reference tries every subset, the manifest loader reads rows through
-``csv.DictReader`` and per-column dict lookups, the lexicon parser builds
+``csv.DictReader`` and per-column dict lookups, the split and leakage
+audit group ``RecordingEntry`` rows by key tuples, the lexicon parser builds
 every phoneme tuple as it reads, the plan renderer reads and fades every
 recording anew for each plan, and the pool generator only uses the public
 constructors.
@@ -22,6 +23,7 @@ import struct
 import unicodedata
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,9 +32,13 @@ import numpy as np
 from corpusforge.audio import AudioError, ConcatSpec, read_wav
 from corpusforge.dataset import (
     MANIFEST_COLUMNS,
+    POLICIES,
+    LeakageAudit,
     ManifestError,
     RecordingEntry,
     RecordingManifest,
+    SplitAssignment,
+    SplitError,
 )
 from corpusforge.lexicon import Lexicon, LexiconError, PhonemeSequence
 from corpusforge.rechain import SentencePlan
@@ -262,6 +268,11 @@ def _oracle_build_manifest(rows: list[tuple[int, dict]], source: str) -> Recordi
             entry.word,
             entry.repetition_index,
         )
+        for name in MANIFEST_COLUMNS[:5]:
+            if "|" in getattr(entry, name):
+                raise ManifestError(
+                    f"{source}: row {lineno}: {name} must not contain '|'"
+                )
         if key in seen:
             entry_id = "|".join(str(part) for part in key)
             raise ManifestError(
@@ -276,11 +287,7 @@ def _oracle_build_manifest(rows: list[tuple[int, dict]], source: str) -> Recordi
 
 
 def _oracle_text(path: Path) -> str:
-    """The whole file decoded, byte order mark dropped; not UTF-8 fails first.
-
-    The loader decodes as it reads, so on a file longer than one read chunk
-    (8 KiB) an error in an earlier row can win; generated files are shorter.
-    """
+    """The whole file decoded, byte order mark dropped; not UTF-8 fails first."""
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
@@ -351,6 +358,112 @@ def manifest_oracle(path: str | Path) -> RecordingManifest:
             for lineno, record in enumerate(reader, start=2):
                 rows.append((lineno, record))
     return _oracle_build_manifest(rows, str(path))
+
+
+# Each policy's group key as a tuple: (word,), (speaker, session, block) or
+# (speaker, session, block, word).
+_GROUP_KEYS = {
+    "strict": itemgetter(slice(4, 5)),
+    "mixed": itemgetter(slice(0, 3)),
+    "natural": itemgetter(0, 1, 2, 4),
+}
+
+
+def _group_key_of(policy: str):
+    try:
+        return _GROUP_KEYS[policy]
+    except KeyError:
+        raise SplitError(
+            f"unknown policy {policy!r}, expected one of {POLICIES}"
+        ) from None
+
+
+def group_key(entry: RecordingEntry, policy: str) -> tuple[str, ...]:
+    return _group_key_of(policy)(entry)
+
+
+def split_oracle(
+    manifest: RecordingManifest, policy: str, train_ratio: float, seed: int
+) -> SplitAssignment:
+    """``split`` over ``RecordingEntry`` rows and their group key tuples.
+
+    The row-by-row split the column version replaced, plus its one new rule:
+    two entries with one ``entry_id`` are an error naming the first such id
+    in entry order.
+    """
+    if not 0 < train_ratio < 1:
+        raise SplitError(f"train_ratio must be in (0, 1), got {train_ratio}")
+    entries = manifest.entries
+    entry_keys = list(map(_group_key_of(policy), entries))
+    sizes = Counter(entry_keys)
+    if len(sizes) < 2:
+        raise SplitError(
+            f"policy {policy!r} yields a single group; cannot fill both sides"
+        )
+    canonical = sorted(sizes)
+    keys = canonical.copy()
+    random.Random(seed).shuffle(keys)
+
+    target = train_ratio * len(entries)
+    train_keys: list[tuple[str, ...]] = []
+    count = 0
+    boundary = len(keys)
+    for i, key in enumerate(keys):
+        train_keys.append(key)
+        count += sizes[key]
+        if count >= target:
+            boundary = i + 1
+            break
+    test_keys = keys[boundary:]
+    if not test_keys:
+        smallest = min(train_keys, key=lambda k: (sizes[k], k))
+        train_keys.remove(smallest)
+        test_keys = [smallest]
+
+    side_of = dict.fromkeys(train_keys, "train")
+    side_of.update(dict.fromkeys(test_keys, "test"))
+    ids = [entry.entry_id for entry in entries]
+    labels = dict(zip(ids, map(side_of.__getitem__, entry_keys)))
+    if len(labels) != len(ids):
+        entry_id = next(i for i in ids if ids.count(i) > 1)
+        raise SplitError(f"entry id {entry_id!r} names more than one entry")
+    audit = {"|".join(key): side_of[key] for key in canonical}
+    return SplitAssignment(
+        policy=policy,
+        seed=seed,
+        train_ratio=train_ratio,
+        labels=labels,
+        group_key_audit=audit,
+    )
+
+
+def audit_leakage_oracle(
+    manifest: RecordingManifest, assignment: SplitAssignment
+) -> LeakageAudit:
+    """``audit_leakage`` over ``RecordingEntry`` rows and group key tuples."""
+    entries = manifest.entries
+    sides = list(map(assignment.labels.get, [e.entry_id for e in entries]))
+    train, test = sides.count("train"), sides.count("test")
+    if train + test != len(sides):
+        entry = next(
+            e for e, side in zip(entries, sides) if side not in ("train", "test")
+        )
+        raise SplitError(f"entry {entry.entry_id!r} not covered by assignment")
+    entry_keys = list(map(_group_key_of(assignment.policy), entries))
+    # A group on both sides shows up as two distinct (key, side) pairs.
+    spanning = len(set(zip(entry_keys, sides))) - len(set(entry_keys))
+    train_words = {e.word for e, side in zip(entries, sides) if side == "train"}
+    test_words = {e.word for e, side in zip(entries, sides) if side == "test"}
+    total = train + test
+    return LeakageAudit(
+        policy=assignment.policy,
+        total_entries=total,
+        train_entries=train,
+        test_entries=test,
+        realized_train_ratio=train / total,
+        spanning_group_keys=spanning,
+        vocabulary_overlap=len(train_words & test_words),
+    )
 
 
 def lexicon_oracle(source: Iterable[str]) -> Lexicon:

@@ -16,7 +16,7 @@ import pytest
 
 from corpusforge.audio import AudioError, ConcatSpec, concat, read_wav, write_wav
 from corpusforge.cli import main as cli_main
-from corpusforge.dataset import audit_leakage, group_key, split
+from corpusforge.dataset import audit_leakage, split
 from corpusforge.lexicon import biphones
 from corpusforge.llmclient import LlmServiceError, generate_sentences, generate_validated_plans
 from corpusforge.metrics import EvalPair, corpus_rate, edit_counts, edit_rate
@@ -33,6 +33,7 @@ from corpusforge.selector import (
 from conftest import tone_clip
 from oracles import (
     brute_force_max_coverage,
+    group_key,
     levenshtein_recursive,
     pwps_oracle_trace,
     random_pool,

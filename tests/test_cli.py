@@ -571,6 +571,28 @@ class TestSplitCommand:
         err = capsys.readouterr().err
         assert f"row 1: repetition_index must be an integer, got {shown}\n" in err
 
+    def test_pipe_in_an_id_field_is_data_error(self, tmp_path, capsys):
+        # Both rows would have the entry_id "a|b|c|b0|m0|hund|0", so split
+        # wrote 3 label rows for 4 entries and exited 0.
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,session_id,block_id,microphone_id,word,"
+            "repetition_index,audio_path,transcript\n"
+            "a|b,c,b0,m0,hund,0,h1.wav,hund\n"
+            "a,b|c,b0,m0,hund,0,h2.wav,hund\n"
+            "a,c,b0,m0,katze,0,k1.wav,katze\n"
+            "a,c,b1,m0,hund,0,h3.wav,hund\n"
+        )
+        out = tmp_path / "out"
+        code = run_cli(
+            "split", "--manifest", manifest, "--policy", "natural",
+            "--ratio", 0.5, "--seed", 1, "--out-dir", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: row 2: speaker_id must not contain '|'\n" in err
+        assert not (out / "split_assignment.jsonl").exists()
+
 
 class TestEvalCommand:
     def test_eval_report(self, toy_corpus, tmp_path, capsys):

@@ -1,33 +1,38 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import logging
 import random
+import re
 import tempfile
 import unicodedata
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from corpusforge import dataset
 from corpusforge.dataset import (
     MANIFEST_COLUMNS,
+    POLICIES,
     ManifestError,
     RecordingEntry,
     RecordingManifest,
     SplitAssignment,
     SplitError,
     audit_leakage,
-    group_key,
     load_manifest,
     split,
     write_assignment,
 )
+from corpusforge.rechain import WordInventory
 
-from oracles import manifest_oracle
+from oracles import audit_leakage_oracle, group_key, manifest_oracle, split_oracle
 
 HEADER = (
     "speaker_id,session_id,block_id,microphone_id,word,"
@@ -150,6 +155,162 @@ class TestLoadManifest:
         path.write_text(HEADER + "\n")
         with pytest.raises(ManifestError, match="empty"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+    @pytest.mark.parametrize("field", MANIFEST_COLUMNS[:5])
+    def test_pipe_in_an_id_field_is_error_naming_it(self, tmp_path, field, suffix):
+        good = dict(zip(MANIFEST_COLUMNS, ["spk1", "s1", "b1", "m1", "hund", "0",
+                                           "a|b.wav", "x|y"]))
+        path = tmp_path / f"m{suffix}"
+        write_manifest(path, [good, {**good, field: "x|y"}])
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(path)
+        row = 3 if suffix == ".csv" else 2
+        assert str(exc.value) == f"{path}: row {row}: {field} must not contain '|'"
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [("m.jsonl", b"[1, 2]\n\xe4", 2), ("m.csv", b"speaker_id\nx\n\xe4", 3)],
+    )
+    def test_bad_last_byte_fails_before_any_row_or_header_check(
+        self, tmp_path, name, text, line
+    ):
+        # A lead byte with nothing after it fails only once the decoder
+        # reaches the end of the file.
+        path = tmp_path / name
+        path.write_bytes(text)
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(path)
+        assert str(exc.value) == f"{path}: line {line}: not UTF-8 text (byte 0xe4)"
+
+    def test_pipe_in_audio_path_and_transcript_is_kept(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}\nspk1,s1,b1,m1,hund,0,a|b.wav,x|y\n")
+        (entry,) = load_manifest(path).entries
+        assert (entry.audio_path, entry.transcript) == ("a|b.wav", "x|y")
+
+    def test_manifest_holds_columns_and_builds_entries_once(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            f"{HEADER}\nspk1,s1,b1,m1, Hund ,+1,a.wav,hund\n"
+            "spk1,s1,b1,m2,katze,0,b.wav,\n"
+        )
+        manifest = load_manifest(path)
+        assert manifest.columns["word"] == ("hund", "katze")
+        assert manifest.columns["repetition_index"] == (1, 0)
+        assert manifest.entry_ids == ("spk1|s1|b1|m1|hund|1", "spk1|s1|b1|m2|katze|0")
+        entries = manifest.entries
+        assert entries is manifest.entries
+        assert all(type(e) is RecordingEntry for e in entries)
+        assert [e.entry_id for e in entries] == list(manifest.entry_ids)
+        built = RecordingManifest(entries)
+        assert built.entries is entries
+        assert built == manifest and hash(built) == hash(manifest)
+        assert built.entry_ids == manifest.entry_ids and len(built) == 2
+        assert RecordingManifest(()) == RecordingManifest(entries=[])
+
+
+def write_manifest(path: Path, rows: list[dict]) -> None:
+    """Rows as a CSV with a header or as JSON Lines, by the file's suffix."""
+    if path.suffix == ".csv":
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.DictWriter(f, fieldnames=HEADER.split(","))
+            writer.writeheader()
+            writer.writerows(rows)
+    else:
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+@contextmanager
+def row_loop_calls():
+    """Count the calls into the row-by-row manifest checks."""
+    calls = []
+    row_loop = dataset._manifest_from_rows
+
+    def counted(*args):
+        calls.append(args)
+        return row_loop(*args)
+
+    with mock.patch.object(dataset, "_manifest_from_rows", counted):
+        yield calls
+
+
+VALID_ROWS = [
+    dict(zip(MANIFEST_COLUMNS, [spk, "s1", blk, mic, word, rep, f"{word}.wav", word]))
+    for spk in ("spk1", "spk-2")
+    for blk in ("b1", "b2")
+    for mic in ("m1", "m2")
+    for word in ("hund", " Katze ", "müde")
+    for rep in ("0", "1")
+]
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_valid_manifest_never_runs_the_row_loop(tmp_path, suffix):
+    rows = [dict(row) for row in VALID_ROWS]
+    if suffix == ".jsonl":  # JSON values the integer and text rules accept
+        rows[0].update(speaker_id=0, repetition_index=2.0, transcript="")
+        rows[1].update(repetition_index=3, audio_path=7)
+    path = tmp_path / f"m{suffix}"
+    write_manifest(path, rows)
+    with row_loop_calls() as calls:
+        manifest = load_manifest(path)
+    assert calls == []
+    assert manifest.entries == manifest_oracle(path).entries
+
+
+ROW_ERRORS = [  # (field, bad value, message tail)
+    ("session_id", "", "missing field(s) session_id"),
+    ("repetition_index", "x", "repetition_index must be an integer, got 'x'"),
+    ("repetition_index", "1.5", "repetition_index must be an integer, got '1.5'"),
+    ("repetition_index", "-1", "repetition_index < 0"),
+    ("word", "hu|nd", "word must not contain '|'"),
+    ("microphone_id", "m|1", "microphone_id must not contain '|'"),
+]
+JSON_ROW_ERRORS = [
+    ("repetition_index", True, "repetition_index must be an integer, got True"),
+    ("repetition_index", 2.5, "repetition_index must be an integer, got 2.5"),
+    ("transcript", None, "missing field(s) transcript"),
+    ("speaker_id", "", "missing field(s) speaker_id"),
+]
+
+
+@pytest.mark.parametrize(
+    "suffix, field, value, tail",
+    [(".csv", *e) for e in ROW_ERRORS] + [(".jsonl", *e) for e in ROW_ERRORS]
+    + [(".jsonl", *e) for e in JSON_ROW_ERRORS],
+)
+def test_each_row_error_runs_the_row_loop_once(tmp_path, suffix, field, value, tail):
+    rows = [dict(row) for row in VALID_ROWS]
+    rows[5][field] = value
+    path = tmp_path / f"m{suffix}"
+    write_manifest(path, rows)
+    with row_loop_calls() as calls, pytest.raises(ManifestError) as exc:
+        load_manifest(path)
+    assert len(calls) == 1
+    with pytest.raises(ManifestError) as expected:
+        manifest_oracle(path)
+    assert str(exc.value) == str(expected.value)
+    assert tail in str(exc.value)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+@pytest.mark.parametrize(
+    "change", [{"word": "HUND"}, {"repetition_index": "+0"}, None]
+)
+def test_duplicate_and_empty_run_the_row_loop_once(tmp_path, suffix, change):
+    rows = [] if change is None else [VALID_ROWS[0], {**VALID_ROWS[0], **change}]
+    path = tmp_path / f"m{suffix}"
+    write_manifest(path, rows)
+    with row_loop_calls() as calls, pytest.raises(ManifestError) as exc:
+        load_manifest(path)
+    assert len(calls) == 1
+    first = 2 if suffix == ".csv" else 1
+    assert str(exc.value) == (
+        f"{path}: manifest is empty" if change is None
+        else f"{path}: duplicate recording key 'spk1|s1|b1|m1|hund|0' "
+             f"at rows {first} and {first + 1}"
+    )
 
 
 class TestSplit:
@@ -326,28 +487,38 @@ def test_recording_entry_is_a_named_tuple_of_its_fields():
 # column lists its own (an empty transcript is good, so it has none).
 GOOD_CELLS = {
     "speaker_id": ["spk1", "spk2", "s,p"],
-    "session_id": ["s1", "s|1"],
+    "session_id": ["s1", "s-1"],
     "block_id": ["b1", "b\n2"],
     "microphone_id": ["m1", "m2"],
     "word": ["hund", " Hund ", "mu\u0308de", "m\u00fcde", '"q"'],
     "repetition_index": ["0", "1", " 2 ", "+3"],
-    "audio_path": ["a.wav", "dir, with comma/b.wav"],
-    "transcript": ["", "hund", "line\nbreak", "\u00e9"],
+    "audio_path": ["a.wav", "dir, with comma/b.wav", "a|b.wav"],
+    "transcript": ["", "hund", "line\nbreak", "\u00e9", "x|y"],
     "mood": ["happy", ""],
 }
-BAD_CELLS = {"repetition_index": ["-1", "x", "1.5"], "transcript": []}
+# An id field (the first five columns) must not hold "|".
+BAD_CELLS = {
+    "speaker_id": ["", "a|b"],
+    "session_id": ["", "s|1"],
+    "block_id": ["", "|"],
+    "microphone_id": ["", "m|"],
+    "word": ["", " Hu|nd "],
+    "repetition_index": ["-1", "x", "1.5"],
+    "transcript": [],
+}
 GOOD_JSON = {
     "speaker_id": ["spk1", 7, 0],
     "word": ["hund", "mu\u0308de", 5],
-    "repetition_index": [0, 1, "2", True],
+    "repetition_index": [0, 1, "2", 3.0],
     "transcript": ["", "hund", 0],
 }
 BAD_JSON = {
-    "repetition_index": [-1, 2.5, "x", [1]],
+    "repetition_index": [-1, 2.5, "x", [1], True],
     "transcript": [None, ["hund"], False],
-    "word": ["", ["Hund"], True],
+    "word": ["", ["Hund"], True, "hu|nd"],
     "audio_path": ["", {"p": 1}],
-    "speaker_id": ["", True],
+    "speaker_id": ["", True, "a|b"],
+    "session_id": ["", "s|1"],
 }
 
 
@@ -392,10 +563,14 @@ def assert_matches_oracle(text: str, suffix: str, rng: random.Random) -> None:
         path = Path(tmp) / f"manifest{suffix}"
         path.write_bytes(data)
         expected = outcome(manifest_oracle, path)
-        assert outcome(load_manifest, path) == expected
+        with row_loop_calls() as calls:
+            assert outcome(load_manifest, path) == expected
     # What the examples exercised (pytest --hypothesis-show-statistics).
     kind, value = expected[0]
     event("loaded" if kind == "ok" else value.split(": ")[-1][:30])
+    # The path the load took: the row loop runs only after a column check
+    # fails; an error while reading comes before either.
+    event("row loop" if calls else "column checks" if kind == "ok" else "read error")
 
 
 # Manifests are built from a seeded Random rather than from hypothesis's own
@@ -444,7 +619,7 @@ def jsonl_manifest(rng: random.Random) -> str:
             record = {
                 name: cell(rng, GOOD_JSON, BAD_JSON, name)
                 for name in rng.sample(columns, len(columns))
-                if rng.random() < (0.5 if name == "mood" else 0.97)
+                if rng.random() < (0.5 if name == "mood" else 0.985)
             }
         records.append(record)
         lines.append(json.dumps(record, ensure_ascii=rng.random() < 0.5))
@@ -461,3 +636,130 @@ def test_csv_load_matches_dictreader_oracle(rng):
 @given(st.randoms(use_true_random=True))
 def test_jsonl_load_matches_json_oracle(rng):
     assert_matches_oracle(jsonl_manifest(rng), ".jsonl", rng)
+
+
+# -- split, audit_leakage and the inventory against the row-by-row oracles ---
+
+# "a" and "a-b" order one way as key tuples and the other way once joined
+# by "|" ("a-b|…" < "a|…"), so the canonical group order is exercised.
+SPLIT_VALUES = {
+    "speaker_id": ["a", "a-b", "spk2"],
+    "session_id": ["s1", "s-1"],
+    "block_id": ["b1", "b2", "b-3"],
+    "microphone_id": ["m1", "m2"],
+    "word": ["hund", "katze", "maus", "hu-nd"],
+}
+# Entries built in code skip the load checks: ("a|s1", "s1", …) and
+# ("a", "s1|s1", …) share the entry_id "a|s1|s1|…".
+PIPE_VALUES = {"speaker_id": ["a", "a|s1"], "session_id": ["s1", "s1|s1"]}
+
+
+def split_entries(rng: random.Random, pipes: bool) -> list[RecordingEntry]:
+    """Distinct recordings over small value sets, in shuffled order."""
+    values = {
+        name: rng.sample(choices, rng.randint(1, len(choices)))
+        for name, choices in SPLIT_VALUES.items()
+    }
+    if pipes:
+        for name, extra in PIPE_VALUES.items():
+            values[name] = list(dict.fromkeys(values[name] + extra))
+    keep = rng.choice([0.05, 0.2, 0.6, 1.0])
+    entries = [
+        RecordingEntry(spk, ses, blk, mic, word, rep, f"{word}_{n}.wav", word)
+        for n, (spk, ses, blk, mic, word, rep) in enumerate(itertools.product(
+            *values.values(), range(rng.randint(1, 2))
+        ))
+        if rng.random() < keep
+    ]
+    rng.shuffle(entries)
+    return entries
+
+
+def split_outcome(split_fn, audit_fn, manifest, policy, ratio, seed):
+    """Everything a split and its audit produce, in order, or the error."""
+    try:
+        assignment = split_fn(manifest, policy, ratio, seed)
+        audit = audit_fn(manifest, assignment)
+    except SplitError as exc:
+        return "error", str(exc)
+    return (
+        "ok", list(assignment.labels.items()),
+        list(assignment.group_key_audit.items()),
+        (assignment.policy, assignment.seed, assignment.train_ratio), audit,
+    )
+
+
+def audit_outcome(audit_fn, manifest, assignment):
+    try:
+        return "ok", audit_fn(manifest, assignment)
+    except SplitError as exc:
+        return "error", str(exc)
+
+
+def loaded_pair(entries, suffix: str, tmp: str):
+    """The entries written to a file, loaded by the package and the oracle."""
+    path = Path(tmp) / f"manifest{suffix}"
+    write_manifest(path, [dict(zip(MANIFEST_COLUMNS, e)) for e in entries])
+    try:
+        return load_manifest(path), manifest_oracle(path)
+    except ManifestError:  # an empty manifest
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_split_and_audit_match_the_row_oracles(rng):
+    pipes = rng.random() < 0.3
+    entries = split_entries(rng, pipes)
+    with tempfile.TemporaryDirectory() as tmp:
+        source = rng.choice(["code", "code", ".csv", ".jsonl"])
+        if pipes:  # the loaders reject "|" in an id field
+            source = "code"
+        if source == "code":
+            manifest = oracle_manifest = RecordingManifest(entries)
+        else:
+            loaded = loaded_pair(entries, source, tmp)
+            if loaded is None:
+                return
+            manifest, oracle_manifest = loaded
+    policy = rng.choice(POLICIES) if rng.random() < 0.95 else "fancy"
+    ratio = rng.choice([1e-9, 0.01, 0.5, 0.99, 1 - 1e-9, rng.random()])
+    if rng.random() < 0.05:
+        ratio = rng.choice([0, 1, -0.5, 1.5])
+    seed = rng.choice([0, 1, 2, rng.randrange(2**32)])
+
+    expected = split_outcome(
+        split_oracle, audit_leakage_oracle, oracle_manifest, policy, ratio, seed
+    )
+    assert split_outcome(split, audit_leakage, manifest, policy, ratio, seed) == expected
+    event(f"{source}: {expected[0]} {expected[1][:14] if expected[0] == 'error' else ''}")
+
+    grouped: dict[str, list[str]] = {}
+    for entry in oracle_manifest.entries:
+        grouped.setdefault(entry.word, []).append(entry.audio_path)
+    items = WordInventory.from_manifest(manifest).items
+    assert list(items.items()) == [(w, tuple(refs)) for w, refs in grouped.items()]
+
+    if expected[0] == "ok":  # one label flipped or dropped
+        assignment = split_oracle(oracle_manifest, policy, ratio, seed)
+        labels = dict(assignment.labels)
+        victim = rng.choice(list(labels))
+        if rng.random() < 0.5:
+            labels[victim] = "test" if labels[victim] == "train" else "train"
+        else:
+            del labels[victim]
+        corrupted = dataclasses.replace(assignment, labels=labels)
+        assert audit_outcome(audit_leakage, manifest, corrupted) == audit_outcome(
+            audit_leakage_oracle, oracle_manifest, corrupted
+        )
+
+
+def test_entries_sharing_an_entry_id_are_a_split_error():
+    manifest = RecordingManifest((
+        make_entry(speaker="a|s1", session="s1"),
+        make_entry(word="katze"),
+        make_entry(speaker="a", session="s1|s1"),
+    ))
+    message = "entry id 'a|s1|s1|b1|m1|hund|0' names more than one entry"
+    with pytest.raises(SplitError, match=re.escape(message)):
+        split(manifest, "natural", 0.5, seed=1)
