@@ -85,7 +85,8 @@ def read_wav(path: str | Path) -> AudioClip:
 
     Walks the RIFF chunk list, so extra chunks (LIST, fact, ...) are fine.
     Raises :class:`UnsupportedWavError` for non-PCM, multi-channel or
-    non-16-bit files and :class:`WavParseError` for structural damage.
+    non-16-bit files and :class:`WavParseError` for structural damage or a
+    data chunk with no samples.
     """
     data = Path(path).read_bytes()
     if len(data) < 12:
@@ -130,6 +131,9 @@ def read_wav(path: str | Path) -> AudioClip:
         raise UnsupportedWavError(f"{path}: bits_per_sample={bits}, want 16")
     if len(pcm_bytes) % 2:
         raise WavParseError(f"{path}: odd data size for 16-bit samples")
+    if not pcm_bytes:
+        # A clip of no samples would drop its word from an utterance unseen.
+        raise WavParseError(f"{path}: data chunk holds no samples")
     import numpy as np
 
     samples = np.frombuffer(pcm_bytes, dtype="<i2").astype(np.int16)

@@ -95,7 +95,8 @@ class Option(NamedTuple):
     unless `key` differs. A ``seeds.<x>`` key is read from the config's
     ``seeds`` object and recorded in run.json's ``seeds`` as ``x``. Kinds:
     ``file`` and ``dir`` must exist as such, ``out`` is created once every
-    option has passed; ``int``, ``float`` and ``choice`` are values.
+    option has passed; ``int``, ``float`` and ``choice`` are values, a
+    ``float`` being a fraction strictly between 0 and 1.
     """
 
     flag: str
@@ -246,11 +247,14 @@ def _checked(opt: Option, value, label: str):
     if opt.kind == "float":
         try:
             # float() would take a config's true as 1.0.
-            if isinstance(value, bool):
-                raise ValueError(value)
-            return float(value)
+            number = None if isinstance(value, bool) else float(value)
         except (TypeError, ValueError):
-            raise UsageError(f"{label} must be a number, got {value!r}") from None
+            number = None
+        if number is None or not 0 < number < 1:  # nan fails the range too
+            raise UsageError(
+                f"{label} must be a number strictly between 0 and 1, got {value!r}"
+            )
+        return number
     if opt.kind == "choice":
         if value not in opt.choices:
             raise UsageError(f"{label} must be one of {opt.choices}, got {value!r}")

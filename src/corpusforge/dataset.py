@@ -279,7 +279,12 @@ def _csv_columns(f, path: Path) -> tuple[range, list[tuple]]:
     """
     # Every record first, so that text that is not UTF-8 fails before the
     # header is checked, wherever the bad byte sits.
-    records = list(csv.reader(f))
+    reader = csv.reader(f)
+    try:
+        records = list(reader)
+    except csv.Error as exc:  # a cell over csv.field_size_limit()
+        f.read()  # a bad byte further on still comes first
+        raise ManifestError(f"{path}: line {reader.line_num}: {exc}") from None
     if not records:
         raise ManifestError(f"{path}: no header row")
     header = records[0]

@@ -3,18 +3,17 @@
 Rates are minimal Levenshtein edit counts (unit costs) divided by the
 reference length. Corpus-level rates pool the raw counts over all pairs
 instead of averaging per-pair rates, so short utterances do not dominate.
+One bit-parallel kernel in pure Python computes every decomposition,
+whatever the lengths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, Sequence
+from typing import Literal, Sequence
 
 from .errors import CorpusForgeError
 from .textnorm import normalize_text
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Mode = Literal["word", "char"]
 
@@ -72,112 +71,76 @@ def normalize(text: str, mode: Mode) -> list[str]:
     raise ValueError(f"mode must be 'word' or 'char', got {mode!r}")
 
 
-# Row width (hypothesis length) from which the numpy table builder beats
-# the pure-Python one; the crossover measured on a 2-vCPU x86 VM lies
-# between 24 and 32 tokens.
-_NUMPY_MIN_WIDTH = 32
-
-
 def edit_counts(
     reference: Sequence[str], hypothesis: Sequence[str]
 ) -> tuple[int, int, int]:
     """(substitutions, deletions, insertions) of a minimal edit alignment.
 
-    Dynamic programming over token sequences. Several alignments can reach
-    the minimum; the backtrace prefers substitution over deletion over
-    insertion so the decomposition is reproducible. The total is the plain
-    Levenshtein distance either way.
+    Several alignments can reach the minimum; the walk back from the corner
+    of the edit-distance table prefers substitution over deletion over
+    insertion, so the decomposition is reproducible. The total is the
+    plain Levenshtein distance either way.
 
     The table has one row per reference token and one column per
     hypothesis token (the transposed table would turn the tie-break into
-    substitution over insertion over deletion). Rows of at least
-    ``_NUMPY_MIN_WIDTH`` columns are filled with numpy, shorter ones in pure
-    Python; both builders produce the same table and share one backtrace,
-    so the result never depends on which one ran.
+    substitution over insertion over deletion). It is never built: the
+    walk reads each step's choice from the column deltas of
+    :func:`_delta_columns`.
     """
-    if len(hypothesis) >= _NUMPY_MIN_WIDTH:
-        dist = _table_np(reference, hypothesis)
-    else:
-        dist = _table_py(reference, hypothesis)
-    return _backtrace(dist, reference, hypothesis)
-
-
-def _table_py(
-    reference: Sequence[str], hypothesis: Sequence[str]
-) -> list[list[int]]:
-    """Full Levenshtein table as lists, one row per reference token."""
-    prev = list(range(len(hypothesis) + 1))
-    dist = [prev]
-    for i, ref_tok in enumerate(reference, start=1):
-        row = [i]
-        left = i
-        for hyp_tok, diag, up in zip(hypothesis, prev, prev[1:]):
-            # left becomes min(diag + cost, up + 1, left + 1).
-            if ref_tok != hyp_tok:
-                diag += 1
-            if up < left:
-                left = up
-            left += 1
-            if diag < left:
-                left = diag
-            row.append(left)
-        dist.append(row)
-        prev = row
-    return dist
-
-
-def _table_np(reference: Sequence[str], hypothesis: Sequence[str]) -> np.ndarray:
-    """Full Levenshtein table as an int32 array, filled one row at a time.
-
-    The rows are stored offset by ``i + j`` until the end: with
-    ``f[i][j] = dist[i][j] - i - j`` the substitution candidate is
-    ``f[i-1][j-1] + cost - 2``, the deletion candidate ``f[i-1][j]`` and the
-    insertion candidate ``f[i][j-1]``. So each row is two elementwise
-    ufuncs followed by a running minimum, which resolves the whole
-    insertion chain at once. The first row and column of ``f`` are 0, that
-    is ``dist[i][0] = i`` and ``dist[0][j] = j``.
-    """
-    import numpy as np  # here, so a run without long rows starts without it
-
-    n, m = len(reference), len(hypothesis)
-    ids: dict = {}
-    ref_ids = np.array([ids.setdefault(t, len(ids)) for t in reference], np.int32)
-    hyp_ids = np.array([ids.setdefault(t, len(ids)) for t in hypothesis], np.int32)
-    sub = (ref_ids[:, None] != hyp_ids).astype(np.int32) - 2
-    f = np.zeros((n + 1, m + 1), dtype=np.int32)
-    for diag, up, tail, sub_row, row in zip(
-        f[:-1, :-1], f[:-1, 1:], f[1:, 1:], sub, f[1:]
-    ):
-        np.add(diag, sub_row, out=tail)
-        np.minimum(tail, up, out=tail)
-        np.minimum.accumulate(row, out=row)
-    f += np.arange(n + 1, dtype=np.int32)[:, None]
-    f += np.arange(m + 1, dtype=np.int32)
-    return f
-
-
-def _backtrace(
-    dist, reference: Sequence[str], hypothesis: Sequence[str]
-) -> tuple[int, int, int]:
-    """Walk a full table back from the corner, preferring S > D > I."""
-    n, m = len(reference), len(hypothesis)
+    columns = _delta_columns(reference, hypothesis)
     subs = dels = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0:
-            cost = 0 if reference[i - 1] == hypothesis[j - 1] else 1
-            if dist[i][j] == dist[i - 1][j - 1] + cost:
-                subs += cost
-                i -= 1
-                j -= 1
-                continue
-        if i > 0 and dist[i][j] == dist[i - 1][j] + 1:
+    i, j = len(reference), len(hypothesis)
+    while i and j:
+        vp, vn, hp, hn = columns[j]
+        bit = 1 << (i - 1)
+        # dist[i][j] - dist[i-1][j] and dist[i-1][j] - dist[i-1][j-1].
+        vert = (vp & bit > 0) - (vn & bit > 0)
+        horiz = (hp & bit > 0) - (hn & bit > 0)
+        cost = reference[i - 1] != hypothesis[j - 1]
+        if vert + horiz == cost:
+            subs += cost
+            i -= 1
+            j -= 1
+        elif vert == 1:
             dels += 1
             i -= 1
-            continue
-        ins += 1
-        j -= 1
-    return subs, dels, ins
+        else:
+            ins += 1
+            j -= 1
+    return subs, dels + i, ins + j
+
+
+def _delta_columns(
+    reference: Sequence[str], hypothesis: Sequence[str]
+) -> list[tuple[int, int, int, int]]:
+    """Every delta of the Levenshtein table, one column per hypothesis token.
+
+    The bit-vector DP of Myers (1999) in the global edit-distance form of
+    Hyyrö (2001): the reference lies along the bits of Python ints, and
+    each hypothesis token is one step of a dozen int operations on them.
+    Column ``j`` holds ``(vp, vn, hp, hn)``: bit ``r`` of
+    ``vp``/``vn`` is set when ``dist[r+1][j] - dist[r][j]`` is +1/-1, and
+    bit ``r`` of ``hp``/``hn`` when ``dist[r][j] - dist[r][j-1]`` is +1/-1.
+    Column 0 is ``dist[i][0] = i``; its horizontal vectors are unused.
+    """
+    mask = (1 << len(reference)) - 1
+    match: dict[str, int] = {}
+    for i, token in enumerate(reference):
+        match[token] = match.get(token, 0) | 1 << i
+    vp, vn = mask, 0
+    columns = [(vp, vn, 0, 0)]
+    for token in hypothesis:
+        eq = match.get(token, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        # Horizontal deltas of rows 1..n, shifted onto their bits under
+        # row 0's constant +1.
+        hp = (vn | ~(xh | vp) & mask) << 1 | 1
+        hn = (vp & xh) << 1
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+        columns.append((vp, vn, hp, hn))
+    return columns
 
 
 def edit_rate(pair: EvalPair, mode: Mode) -> EditSummary:

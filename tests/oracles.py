@@ -66,31 +66,33 @@ def levenshtein_recursive(ref: Sequence[str], hyp: Sequence[str]) -> int:
     return d(len(ref), len(hyp))
 
 
+def levenshtein_table_oracle(
+    ref: Sequence[str], hyp: Sequence[str]
+) -> list[list[int]]:
+    """The plain Wagner-Fischer table, one row per reference token."""
+    table = [list(range(len(hyp) + 1))]
+    for i, r in enumerate(ref, start=1):
+        prev, row = table[-1], [i]
+        for j, h in enumerate(hyp, start=1):
+            cost = 0 if r == h else 1
+            row.append(min(prev[j - 1] + cost, prev[j] + 1, row[j - 1] + 1))
+        table.append(row)
+    return table
+
+
 def edit_decomposition_oracle(
     ref: Sequence[str], hyp: Sequence[str]
 ) -> tuple[int, int, int]:
     """(subs, dels, ins) from a textbook full-table DP.
 
-    The table is the plain Wagner-Fischer recurrence. The walk back from
-    the corner takes the first move that explains the cell in the order
-    documented for ``metrics.edit_counts``: diagonal (match or
-    substitution), then up (deletion), then left (insertion).
+    The walk back from the corner of :func:`levenshtein_table_oracle` takes
+    the first move that explains the cell in the order documented for
+    ``metrics.edit_counts``: diagonal (match or substitution), then up
+    (deletion), then left (insertion).
     """
-    n, m = len(ref), len(hyp)
-    table = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(m + 1):
-            if i == 0 or j == 0:
-                table[i][j] = i + j
-            else:
-                cost = 0 if ref[i - 1] == hyp[j - 1] else 1
-                table[i][j] = min(
-                    table[i - 1][j - 1] + cost,
-                    table[i - 1][j] + 1,
-                    table[i][j - 1] + 1,
-                )
+    table = levenshtein_table_oracle(ref, hyp)
     subs = dels = ins = 0
-    i, j = n, m
+    i, j = len(ref), len(hyp)
     while (i, j) != (0, 0):
         here = table[i][j]
         cost = 1 if i and j and ref[i - 1] != hyp[j - 1] else 0
@@ -343,6 +345,13 @@ def manifest_oracle(path: str | Path) -> RecordingManifest:
     else:
         with io.StringIO(text, newline="") as f:
             reader = csv.DictReader(f)
+            try:
+                records = list(reader)
+            except csv.Error as exc:
+                # DictReader.line_num counts only rows it returned.
+                raise ManifestError(
+                    f"{path}: line {reader.reader.line_num}: {exc}"
+                ) from None
             if reader.fieldnames is None:
                 raise ManifestError(f"{path}: no header row")
             missing = [c for c in MANIFEST_COLUMNS if c not in reader.fieldnames]
@@ -355,8 +364,7 @@ def manifest_oracle(path: str | Path) -> RecordingManifest:
                 oracle_logger.warning(
                     "%s: ignoring unknown column(s) %s", path, ", ".join(extra)
                 )
-            for lineno, record in enumerate(reader, start=2):
-                rows.append((lineno, record))
+            rows.extend(enumerate(records, start=2))
     return _oracle_build_manifest(rows, str(path))
 
 

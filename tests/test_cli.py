@@ -440,6 +440,29 @@ class TestRechainAndConcat:
                 plan, toy_corpus / "audio", spec
             )
 
+    def test_recording_with_no_samples_is_data_error(
+        self, toy_corpus, tmp_path, capsys
+    ):
+        # b.wav declares an empty data chunk, then holds 3,200 bytes of PCM.
+        # Read as 0 samples, w1 would be missing from the utterance.
+        root = tmp_path / "audio"
+        root.mkdir()
+        clip = (toy_corpus / "audio" / "der.wav").read_bytes()
+        (root / "a.wav").write_bytes(clip)
+        header = clip[:40]
+        (root / "b.wav").write_bytes(header + bytes(4) + bytes(range(100)) * 32)
+        words = (("w0", "a.wav"), ("w1", "b.wav"), ("w2", "a.wav"))
+        write_plans([SentencePlan(words, "manual")], tmp_path / "plans.jsonl")
+        out = tmp_path / "wavs"
+        code = run_cli(
+            "concat", "--plan", tmp_path / "plans.jsonl", "--audio-root", root,
+            "--gap-ms", 0, "--out-dir", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{root / 'b.wav'}: data chunk holds no samples" in err
+        assert not (out / "concat_manifest.jsonl").exists()
+
     @pytest.mark.parametrize("gap", ["wide", 1.5, True, 1e999])
     def test_non_integer_gap_in_config_is_usage_error(
         self, toy_corpus, tmp_path, capsys, gap
@@ -591,6 +614,24 @@ class TestSplitCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{manifest}: row 2: speaker_id must not contain '|'\n" in err
+        assert not (out / "split_assignment.jsonl").exists()
+
+    def test_oversized_cell_is_data_error(self, tmp_path, capsys):
+        # A cell over the csv module's field limit (131,072 characters).
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            "speaker_id,session_id,block_id,microphone_id,word,"
+            "repetition_index,audio_path,transcript\n"
+            f"a,s1,b0,m0,hund,0,h1.wav,{'x' * 140_000}\n"
+        )
+        out = tmp_path / "out"
+        code = run_cli(
+            "split", "--manifest", manifest, "--policy", "natural",
+            "--ratio", 0.5, "--seed", 1, "--out-dir", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: line 2: field larger than field limit (131072)" in err
         assert not (out / "split_assignment.jsonl").exists()
 
 
@@ -973,8 +1014,8 @@ class TestParser:
 
 @pytest.mark.parametrize("module", ["corpusforge", "corpusforge.cli"])
 def test_import_loads_only_the_standard_library(module):
-    # numpy is loaded only by the audio and long-row DP functions that use
-    # it, and the HTTP client only by `rechain llm`.
+    # numpy is loaded only by the audio functions that use it, and the HTTP
+    # client only by `rechain llm`.
     heavy = ["numpy", "requests", "urllib.request", "http.client"]
     src = str(Path(corpusforge.__file__).parents[1])
     code = (
@@ -985,6 +1026,26 @@ def test_import_loads_only_the_standard_library(module):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_eval_never_loads_numpy(tmp_path):
+    # Long hypotheses too: scoring needs numpy at no length.
+    words = " ".join(f"w{i}" for i in range(40))
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(json.dumps(
+        {"id": "p", "reference": words, "hypothesis": f"x {words} y"}
+    ) + "\n")
+    src = str(Path(corpusforge.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from corpusforge import cli\n"
+        f"codes = [cli.main(['eval', '--pairs', {str(pairs)!r}, '--mode', m,"
+        f" '--out-dir', {str(tmp_path)!r} + '/' + m]) for m in ('wer', 'cer')]\n"
+        "print(codes, 'numpy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def _reads_text(call: ast.Call) -> bool:
@@ -1064,6 +1125,19 @@ USAGE_PROBES = {
         None,
         "concat --plan {toy}/sentences.txt --audio-root {toy}/corpus.txt",
         "--audio-root",
+    ),
+    "ratio-above-one": (
+        None, "split --manifest {toy}/manifest.csv --policy natural --seed 1"
+        " --ratio 1.5", "--ratio must be a number strictly between 0 and 1",
+    ),
+    "ratio-nan": (
+        None, "split --manifest {toy}/manifest.csv --policy natural --seed 1"
+        " --ratio nan", "--ratio",
+    ),
+    "ratio-zero": (
+        {"train_ratio": 0},
+        "split --manifest {toy}/manifest.csv --policy natural --seed 1",
+        "train_ratio must be a number strictly between 0 and 1, got 0",
     ),
     "out-dir-is-a-file": (
         None,

@@ -183,6 +183,19 @@ class TestLoadManifest:
             load_manifest(path)
         assert str(exc.value) == f"{path}: line {line}: not UTF-8 text (byte 0xe4)"
 
+    def test_oversized_cell_is_error_naming_file_and_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            f"{HEADER}\nspk1,s1,b1,m1,hund,0,a.wav,hund\n"
+            f"spk1,s1,b1,m2,hund,0,b.wav,{'x' * 140_000}\n"
+        )
+        with pytest.raises(ManifestError) as exc:
+            load_manifest(path)
+        assert str(exc.value) == (
+            f"{path}: line 3: field larger than field limit (131072)"
+        )
+        assert csv.field_size_limit() == 131072  # the process-wide limit
+
     def test_pipe_in_audio_path_and_transcript_is_kept(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(f"{HEADER}\nspk1,s1,b1,m1,hund,0,a|b.wav,x|y\n")
@@ -484,7 +497,8 @@ def test_recording_entry_is_a_named_tuple_of_its_fields():
 
 # Small value sets so that duplicate keys come up often. A cell takes one of
 # its column's good values or, one time in 30, a bad one: "" unless the
-# column lists its own (an empty transcript is good, so it has none).
+# column lists its own (an empty transcript is good; a transcript over the
+# csv module's 131,072-character field limit is not).
 GOOD_CELLS = {
     "speaker_id": ["spk1", "spk2", "s,p"],
     "session_id": ["s1", "s-1"],
@@ -504,7 +518,7 @@ BAD_CELLS = {
     "microphone_id": ["", "m|"],
     "word": ["", " Hu|nd "],
     "repetition_index": ["-1", "x", "1.5"],
-    "transcript": [],
+    "transcript": ["x" * 140_000],
 }
 GOOD_JSON = {
     "speaker_id": ["spk1", 7, 0],
@@ -525,7 +539,7 @@ BAD_JSON = {
 def cell(rng: random.Random, good: dict, bad: dict, name: str):
     values = good.get(name, GOOD_CELLS[name])
     if rng.random() < 1 / 30:
-        values = bad.get(name, [""]) or values
+        values = bad.get(name, [""])
     return rng.choice(values)
 
 

@@ -14,7 +14,11 @@ from corpusforge.metrics import (
     normalize,
 )
 
-from oracles import edit_decomposition_oracle, levenshtein_recursive
+from oracles import (
+    edit_decomposition_oracle,
+    levenshtein_recursive,
+    levenshtein_table_oracle,
+)
 
 
 class TestNormalize:
@@ -129,21 +133,63 @@ def tie_heavy_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(tie_heavy_pairs())
 def test_decomposition_matches_full_table_oracle(pair):
-    # Lengths straddle the numpy cutoff, so edit_counts takes both paths;
-    # each table builder is also checked on its own, whatever the cutoff.
     ref, hyp = pair
-    want = edit_decomposition_oracle(ref, hyp)
-    assert edit_counts(ref, hyp) == want
-    for build in (metrics._table_py, metrics._table_np):
-        assert metrics._backtrace(build(ref, hyp), ref, hyp) == want
+    assert edit_counts(ref, hyp) == edit_decomposition_oracle(ref, hyp)
 
 
-def test_table_builders_agree_cell_for_cell():
+def _cases():
+    """Fixed pairs: empty sides, lengths that cross int size boundaries
+    (63, 64, 65 and 130 tokens), hypothesis tokens absent from the
+    reference, all-equal and all-different sequences."""
+    rng = random.Random(22)
+
+    def tokens(n, alphabet="ab"):
+        return [rng.choice(alphabet) for _ in range(n)]
+
+    yield [], []
+    yield [], list("abc")
+    yield list("abc"), []
+    for n in (63, 64, 65, 130):
+        yield tokens(n), tokens(n)
+        yield tokens(n), tokens(n - 1)
+        yield tokens(n - 1), tokens(n, "abc")
+        yield tokens(n), ["x"] * n
+        yield ["a"] * n, ["a"] * n
+        yield ["a"] * n, ["a"] * (n + 1)
+        yield [f"r{i}" for i in range(n)], [f"h{i}" for i in range(n)]
+        yield [f"t{i}" for i in range(n)], [f"t{i}" for i in range(n)][::-1]
+    yield list("kitten"), list("sitting")
+    yield list("abc"), list("xyz")
+
+
+@pytest.mark.parametrize("ref, hyp", list(_cases()))
+def test_fixed_cases_match_oracle(ref, hyp):
+    assert edit_counts(ref, hyp) == edit_decomposition_oracle(ref, hyp)
+
+
+def test_delta_columns_rebuild_the_oracle_table():
+    def delta(plus: int, minus: int, row: int) -> int:
+        return (plus >> row & 1) - (minus >> row & 1)
+
     rng = random.Random(7)
-    for _ in range(50):
-        ref = [rng.choice("ab") for _ in range(rng.randint(0, 70))]
-        hyp = [rng.choice("ab") for _ in range(rng.randint(0, 70))]
-        assert metrics._table_np(ref, hyp).tolist() == metrics._table_py(ref, hyp)
+    for _ in range(60):
+        ref = [rng.choice("abc") for _ in range(rng.randint(0, 140))]
+        hyp = [rng.choice("abc") for _ in range(rng.randint(0, 70))]
+        columns = metrics._delta_columns(ref, hyp)
+        # Down each column from row 0, and along each row from column 0.
+        down = [list(range(len(hyp) + 1))]
+        for i in range(len(ref)):
+            down.append([
+                cell + delta(vp, vn, i)
+                for cell, (vp, vn, _, _) in zip(down[-1], columns)
+            ])
+        across = []
+        for i in range(len(ref) + 1):
+            row = [i]
+            for _, _, hp, hn in columns[1:]:
+                row.append(row[-1] + delta(hp, hn, i))
+            across.append(row)
+        assert down == across == levenshtein_table_oracle(ref, hyp)
 
 
 @given(st.text(alphabet="abc xyz", max_size=20))
