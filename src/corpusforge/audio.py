@@ -7,23 +7,21 @@ than resampled or converted behind the caller's back.
 Concatenation inserts digital-zero gaps between clips and can apply linear
 fades at clip edges. All length arithmetic is in integer samples.
 :func:`render` joins many sentence plans the same way, reading and fading
-each recording once.
+each recording once. Samples stay raw bytes in ``array`` and ``memoryview``.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import CorpusForgeError
 
-# numpy is imported inside the functions that use it, so a command that
-# never touches audio starts without it.
 if TYPE_CHECKING:
-    import numpy as np
-
     from .rechain import SentencePlan
 
 WAVE_FORMAT_PCM = 1
@@ -46,22 +44,27 @@ class UnsupportedWavError(AudioError):
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono 16-bit PCM samples at a fixed rate."""
+    """Mono 16-bit PCM samples at a fixed rate, at least one of them.
 
-    samples: np.ndarray  # dtype int16, 1-D
+    `samples` is any 1-D native-int16 buffer (``memoryview(samples).format
+    == "h"``): an ``array('h')``, a cast ``memoryview``, another int16 array.
+    """
+
+    samples: memoryview | array
     sample_rate: int
 
     def __post_init__(self):
-        import numpy as np
-
-        if self.samples.dtype != np.int16 or self.samples.ndim != 1:
-            raise AudioError("samples must be a 1-D int16 array")
+        view = memoryview(self.samples)
+        if view.format != "h" or view.ndim != 1:
+            raise AudioError("samples must be a 1-D buffer of int16")
+        if not len(view):
+            raise AudioError("a clip must hold at least one sample")
         if self.sample_rate <= 0:
             raise AudioError(f"sample rate must be positive, got {self.sample_rate}")
 
     @property
     def duration_samples(self) -> int:
-        return int(self.samples.shape[0])
+        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -80,13 +83,29 @@ def _ms_to_samples(ms: int, rate: int) -> int:
     return (ms * rate + 500) // 1000
 
 
+def _copy(samples) -> array:
+    out = array("h")
+    out.frombytes(memoryview(samples).cast("B"))
+    return out
+
+
+def _little_endian(samples):
+    """`samples` as they are, or byte-swapped if the host is big-endian."""
+    if sys.byteorder == "little":
+        return samples
+    swapped = _copy(samples)
+    swapped.byteswap()
+    return memoryview(swapped)
+
+
 def read_wav(path: str | Path) -> AudioClip:
     """Parse a 16-bit mono PCM WAV file into an :class:`AudioClip`.
 
     Walks the RIFF chunk list, so extra chunks (LIST, fact, ...) are fine.
     Raises :class:`UnsupportedWavError` for non-PCM, multi-channel or
-    non-16-bit files and :class:`WavParseError` for structural damage or a
-    data chunk with no samples.
+    non-16-bit files and :class:`WavParseError` for structural damage,
+    including a chunk that declares more bytes than follow it, or a data
+    chunk with no samples. The samples are a view of the file's bytes.
     """
     data = Path(path).read_bytes()
     if len(data) < 12:
@@ -94,29 +113,32 @@ def read_wav(path: str | Path) -> AudioClip:
     if data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavParseError(f"{path}: missing RIFF/WAVE signature")
 
-    fmt = None
-    pcm_bytes = None
+    fmt = pcm = None
     offset = 12
     while offset + 8 <= len(data):
         chunk_id = data[offset : offset + 4]
         (chunk_size,) = struct.unpack_from("<I", data, offset + 4)
-        body = data[offset + 8 : offset + 8 + chunk_size]
+        body = memoryview(data)[offset + 8 : offset + 8 + chunk_size]
+        if len(body) < chunk_size:
+            name = repr(chunk_id)[2:-1]  # printable, whatever the bytes
+            raise WavParseError(
+                f"{path}: {name} chunk declares {chunk_size} bytes, "
+                f"only {len(body)} present"
+            )
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise WavParseError(f"{path}: fmt chunk truncated")
-            fmt = body
+            fmt = bytes(body)
         elif chunk_id == b"data":
-            if len(body) < chunk_size:
-                raise WavParseError(
-                    f"{path}: data chunk declares {chunk_size} bytes, "
-                    f"only {len(body)} present"
-                )
-            pcm_bytes = body
+            if not body:
+                # A clip of no samples would drop its word from an utterance.
+                raise WavParseError(f"{path}: data chunk holds no samples")
+            pcm = body
         offset += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None:
         raise WavParseError(f"{path}: no fmt chunk")
-    if pcm_bytes is None:
+    if pcm is None:
         raise WavParseError(f"{path}: no data chunk")
     audio_format, channels, sample_rate, _, _, bits = struct.unpack_from(
         "<HHIIHH", fmt
@@ -129,15 +151,9 @@ def read_wav(path: str | Path) -> AudioClip:
         raise UnsupportedWavError(f"{path}: channels={channels}, want mono (1)")
     if bits != 16:
         raise UnsupportedWavError(f"{path}: bits_per_sample={bits}, want 16")
-    if len(pcm_bytes) % 2:
+    if len(pcm) % 2:
         raise WavParseError(f"{path}: odd data size for 16-bit samples")
-    if not pcm_bytes:
-        # A clip of no samples would drop its word from an utterance unseen.
-        raise WavParseError(f"{path}: data chunk holds no samples")
-    import numpy as np
-
-    samples = np.frombuffer(pcm_bytes, dtype="<i2").astype(np.int16)
-    return AudioClip(samples=samples, sample_rate=sample_rate)
+    return AudioClip(_little_endian(pcm.cast("h")), sample_rate)
 
 
 def _check_extensible(path, fmt: bytes, bits: int) -> None:
@@ -183,26 +199,24 @@ def write_wav(clip: AudioClip, path: str | Path) -> None:
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 2 * n, b"WAVE",
         b"fmt ", 16, 1, 1, rate, rate * 2, 2, 16, b"data", 2 * n,
     )
-    import numpy as np
-
-    # On a little-endian host a contiguous int16 array is written as it is,
-    # without a copy.
-    pcm = np.ascontiguousarray(clip.samples, dtype="<i2")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(pcm)
+        f.write(_little_endian(clip.samples))
 
 
-def _fade(samples: np.ndarray, fade_samples: int) -> np.ndarray:
-    if fade_samples == 0:
+def _fade(samples, fade: int):
+    """A copy of `samples` ramped linearly over its first and last `fade`.
+
+    The sample k from either edge becomes ``round(s * (k / fade))``.
+    """
+    if fade == 0:
         return samples
-    import numpy as np
-
-    out = samples.astype(np.float64)
-    ramp = np.arange(fade_samples, dtype=np.float64) / fade_samples
-    out[:fade_samples] *= ramp
-    out[-fade_samples:] *= ramp[::-1]
-    return np.round(out).astype(np.int16)
+    out = _copy(samples)
+    for k in range(fade):
+        ramp = k / fade
+        out[k] = round(out[k] * ramp)
+        out[-1 - k] = round(out[-1 - k] * ramp)
+    return out
 
 
 def _layout(clips: Sequence[AudioClip], spec: ConcatSpec) -> tuple[int, int, int]:
@@ -226,16 +240,9 @@ def _layout(clips: Sequence[AudioClip], spec: ConcatSpec) -> tuple[int, int, int
     return rate, gap, fade
 
 
-def _join(
-    pieces: Sequence[np.ndarray], gap: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """`pieces` in order with `gap` zero samples between them, into `out` if given."""
-    import numpy as np
-
-    if gap and len(pieces) > 1:
-        silence = np.zeros(gap, dtype=np.int16)
-        pieces = [x for piece in pieces for x in (silence, piece)][1:]
-    return np.concatenate(pieces, out=out)
+def _join(pieces: Sequence, gap: int) -> memoryview:
+    """`pieces` in order with `gap` zero samples between them."""
+    return memoryview(bytes(2 * gap).join(pieces)).cast("h")
 
 
 def concat(clips: Sequence[AudioClip], spec: ConcatSpec) -> AudioClip:
@@ -248,7 +255,7 @@ def concat(clips: Sequence[AudioClip], spec: ConcatSpec) -> AudioClip:
     """
     rate, gap, fade = _layout(clips, spec)
     pieces = [_fade(clip.samples, fade) for clip in clips]
-    return AudioClip(samples=_join(pieces, gap), sample_rate=rate)
+    return AudioClip(_join(pieces, gap), rate)
 
 
 def render(
@@ -258,17 +265,12 @@ def render(
 
     A plan's recording references are resolved in order; a missing file is
     an error. Each distinct reference is read and faded once, on its first
-    use, and only its faded samples are kept. Every yielded clip is a view
-    of one buffer that the next plan overwrites, so write or copy it
-    before asking for the next. A plan raises what reading and joining
-    its clips one by one would raise, and an utterance too long for one
-    WAV file raises before its buffer is allocated.
+    use, and only its faded samples are kept. A plan raises what reading
+    and joining its clips one by one would raise, and an utterance too long
+    for one WAV file raises before its clips are joined.
     """
-    import numpy as np
-
     root = Path(audio_root)
     faded: dict[str, AudioClip] = {}
-    buffer = np.empty(0, dtype=np.int16)
     for plan in plans:
         clips = []
         for _, ref in plan.words:
@@ -277,12 +279,8 @@ def render(
                 clip = faded[ref] = _read_faded(root / ref, spec)
             clips.append(clip)
         rate, gap, _ = _layout(clips, spec)
-        n = sum(c.duration_samples for c in clips) + gap * (len(clips) - 1)
-        _check_wav_size(n)
-        if n > buffer.shape[0]:
-            buffer = np.empty(n, dtype=np.int16)
-        samples = _join([c.samples for c in clips], gap, out=buffer[:n])
-        yield AudioClip(samples=samples, sample_rate=rate)
+        _check_wav_size(sum(c.duration_samples for c in clips) + gap * (len(clips) - 1))
+        yield AudioClip(_join([c.samples for c in clips], gap), rate)
 
 
 def _read_faded(path: Path, spec: ConcatSpec) -> AudioClip:
@@ -293,4 +291,4 @@ def _read_faded(path: Path, spec: ConcatSpec) -> AudioClip:
     if fade > clip.duration_samples // 2:
         # Too short to fade: every plan that uses it fails _layout's check.
         return clip
-    return AudioClip(samples=_fade(clip.samples, fade), sample_rate=clip.sample_rate)
+    return AudioClip(_fade(clip.samples, fade), clip.sample_rate)

@@ -509,7 +509,7 @@ def concat_oracle(
 
     Every recording is checked and read for this plan, each clip is faded
     in float64 and rounded, the pieces and gaps are joined with one
-    ``np.concatenate``, and the header and samples become one ``bytes``.
+    ``np.concatenate``, and :func:`wav_file_oracle` makes the file's bytes.
     Raises what the command raises for the plan, with the same message.
     """
     root = Path(audio_root)
@@ -534,7 +534,7 @@ def concat_oracle(
     for i, clip in enumerate(clips):
         if i:
             pieces.append(np.zeros(gap, dtype=np.int16))
-        samples = clip.samples
+        samples = np.asarray(clip.samples)
         if fade:
             faded = samples.astype(np.float64)
             ramp = np.arange(fade, dtype=np.float64) / fade
@@ -542,7 +542,16 @@ def concat_oracle(
             faded[-fade:] *= ramp[::-1]
             samples = np.round(faded).astype(np.int16)
         pieces.append(samples)
-    pcm = np.concatenate(pieces).astype("<i2").tobytes()
+    return wav_file_oracle(np.concatenate(pieces), rate)
+
+
+def wav_file_oracle(samples, rate: int) -> bytes:
+    """The canonical 16-bit mono PCM WAV file of `samples` at `rate`.
+
+    The 44-byte header is built field by field, and numpy converts the
+    samples (any int16 sequence or buffer) to little-endian bytes.
+    """
+    pcm = np.asarray(samples, dtype=np.int16).astype("<i2").tobytes()
     header = b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
     header += b"data" + struct.pack("<I", len(pcm))

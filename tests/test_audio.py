@@ -1,5 +1,6 @@
 import re
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from corpusforge.audio import (
 from corpusforge.rechain import SentencePlan
 
 from conftest import tone_clip
-from oracles import concat_oracle
+from oracles import concat_oracle, wav_file_oracle
 
 
 def test_read_valid_clip_header_arithmetic(tmp_path):
@@ -43,13 +44,51 @@ def test_round_trip_bit_exact(tmp_path):
     assert np.array_equal(loaded.samples, original.samples)
 
 
+def test_write_wav_bytes_match_oracle(tmp_path):
+    path = tmp_path / "c.wav"
+    for clip in (tone_clip(523, 0.37, rate=22050), tone_clip(440, 0.001, rate=8000)):
+        write_wav(clip, path)
+        assert path.read_bytes() == wav_file_oracle(clip.samples, clip.sample_rate)
+
+
+def test_big_endian_host_swaps_bytes_on_write_and_read(tmp_path, monkeypatch):
+    # Read as big-endian, the int16 values in memory are the byte-swapped
+    # ones, and the file holds those values little-endian.
+    clip = tone_clip(440, 0.05)
+    swapped = clip.samples.byteswap()
+    monkeypatch.setattr(sys, "byteorder", "big")
+    path = tmp_path / "be.wav"
+    write_wav(clip, path)
+    assert path.read_bytes() == wav_file_oracle(swapped, clip.sample_rate)
+    assert np.array_equal(read_wav(path).samples, clip.samples)
+
+
+def test_clip_of_no_samples_is_error():
+    with pytest.raises(AudioError, match="at least one sample"):
+        AudioClip(samples=np.zeros(0, dtype=np.int16), sample_rate=16000)
+
+
 def test_zero_sample_wav_is_error_naming_file(tmp_path):
-    empty = AudioClip(samples=np.zeros(0, dtype=np.int16), sample_rate=16000)
     path = tmp_path / "empty.wav"
-    write_wav(empty, path)
+    path.write_bytes(wav_file_oracle([], 16000))
     with pytest.raises(WavParseError) as exc:
         read_wav(path)
     assert str(exc.value) == f"{path}: data chunk holds no samples"
+
+
+def test_short_data_chunk_is_error_naming_the_overrun(tmp_path):
+    # The data chunk declares 100 of its 3,200 bytes, so the walk meets a
+    # "chunk" made of samples that declares far more bytes than are left.
+    path = tmp_path / "short.wav"
+    raw = bytearray(wav_file_oracle(tone_clip(440, 0.1).samples, 16000))
+    struct.pack_into("<I", raw, 40, 100)
+    path.write_bytes(bytes(raw))
+    assert raw[144:148] == b"'\x1b\x14\x16"  # printed escaped
+    with pytest.raises(WavParseError) as exc:
+        read_wav(path)
+    assert str(exc.value) == (
+        f"{path}: '\\x1b\\x14\\x16 chunk declares 170004569 bytes, only 3092 present"
+    )
 
 
 def _patch_fmt(path, audio_format=1, channels=1, bits=16):
@@ -229,18 +268,12 @@ def test_write_wav_too_long_for_riff_is_error_naming_sample_count(tmp_path):
 
 
 def test_render_too_long_for_riff_is_error_before_allocating(tmp_path, monkeypatch):
+    # The clip's samples are not contiguous, so joining them raises a
+    # TypeError instead of filling 4 GiB: the size check must come first.
     half = AudioClip(samples=_zeros(HUGE // 2), sample_rate=16000)
     monkeypatch.setattr(audio, "read_wav", lambda path: half)
     (tmp_path / "a.wav").touch()
     plan = SentencePlan((("a", "a.wav"), ("a", "a.wav")), "manual")
-    # Fail, rather than fill 4 GiB, if the output buffer is allocated.
-    empty = np.empty
-
-    def small_empty(shape, *args, **kwargs):
-        assert np.prod(shape) < 2**20, f"allocated {shape} samples"
-        return empty(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "empty", small_empty)
     with pytest.raises(AudioError, match=f"^{HUGE} samples"):
         next(render([plan], tmp_path, ConcatSpec(gap_ms=0)))
 
@@ -249,19 +282,19 @@ def test_render_too_long_for_riff_is_error_before_allocating(tmp_path, monkeypat
 
 # Clips are a few hundred samples at 8 or 16 kHz, so a fade of a few ms is
 # often more than half of one. Plans repeat names, and some name a missing
-# file, one that is not a WAV or one that holds no samples.
+# file, one that is not a WAV or one whose data chunk holds no samples.
 @st.composite
 def render_cases(draw):
     clips = {}
     for i in range(draw(st.integers(1, 4))):
         rate = draw(st.sampled_from([8000, 8000, 8000, 16000]))
-        n = draw(st.integers(0, 400))
+        n = draw(st.integers(1, 400))
         seed = draw(st.integers(0, 2**32 - 1))
         samples = np.random.default_rng(seed).integers(
             -32768, 32768, n, dtype=np.int16
         )
         clips[f"c{i}.wav"] = AudioClip(samples=samples, sample_rate=rate)
-    broken = draw(st.sampled_from([[], ["missing.wav"], ["bad.wav"]]))
+    broken = draw(st.sampled_from([[], ["missing.wav"], ["bad.wav"], ["empty.wav"]]))
     refs = st.sampled_from([*clips, *clips, *clips, *clips, *broken])
     plans = draw(st.lists(st.lists(refs, min_size=1, max_size=5), min_size=1, max_size=6))
     spec = ConcatSpec(
@@ -275,14 +308,21 @@ def render_cases(draw):
 
 
 def _outcomes(render_plan, plans) -> list:
-    """Per plan, the WAV bytes, until the first error: its type and message."""
+    """Per plan, the WAV bytes, until the first error: its type and message.
+
+    The clips are all rendered before any becomes bytes, so each must own
+    its samples.
+    """
     outcomes = []
     try:
         for plan in plans:
             outcomes.append(render_plan(plan))
     except AudioError as exc:
         outcomes.append((type(exc), str(exc)))
-    return outcomes
+    return [
+        wav_file_oracle(o.samples, o.sample_rate) if isinstance(o, AudioClip) else o
+        for o in outcomes
+    ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -294,24 +334,18 @@ def test_render_matches_per_plan_oracle(case):
         for name, clip in clips.items():
             write_wav(clip, root / name)
         (root / "bad.wav").write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
-        out = root / "out.wav"
-
-        def wav_bytes(clip):
-            write_wav(clip, out)
-            return out.read_bytes()
+        (root / "empty.wav").write_bytes(wav_file_oracle([], 8000))
 
         expected = _outcomes(lambda plan: concat_oracle(plan, root, spec), plans)
         rendered = render(plans, root, spec)
-        assert _outcomes(lambda plan: wav_bytes(next(rendered)), plans) == expected
+        assert _outcomes(lambda plan: next(rendered), plans) == expected
 
-        # concat, the public join, agrees on every plan of readable clips.
+        # concat, the public join, agrees on every plan of clips in memory.
         def joined(plan):
-            return wav_bytes(concat([clips[ref] for _, ref in plan.words], spec))
+            return concat([clips[ref] for _, ref in plan.words], spec)
 
-        # A clip of no samples joins in memory, but its file does not read.
-        readable = {name for name, clip in clips.items() if clip.duration_samples}
         for plan, want in zip(plans, expected):
-            if all(ref in readable for _, ref in plan.words):
+            if all(ref in clips for _, ref in plan.words):
                 assert _outcomes(joined, [plan]) == [want]
         last = expected[-1]
         if isinstance(last, bytes):

@@ -463,6 +463,28 @@ class TestRechainAndConcat:
         assert f"{root / 'b.wav'}: data chunk holds no samples" in err
         assert not (out / "concat_manifest.jsonl").exists()
 
+    def test_recording_with_short_data_chunk_is_data_error(
+        self, toy_corpus, tmp_path, capsys
+    ):
+        # b.wav's data chunk declares 100 of its 8,000 bytes; the samples
+        # after it would be walked as chunks, and w1 read 50 samples long.
+        root = tmp_path / "audio"
+        root.mkdir()
+        clip = (toy_corpus / "audio" / "der.wav").read_bytes()
+        (root / "a.wav").write_bytes(clip)
+        (root / "b.wav").write_bytes(clip[:40] + (100).to_bytes(4, "little") + clip[44:])
+        words = (("w0", "a.wav"), ("w1", "b.wav"), ("w2", "a.wav"))
+        write_plans([SentencePlan(words, "manual")], tmp_path / "plans.jsonl")
+        out = tmp_path / "wavs"
+        code = run_cli(
+            "concat", "--plan", tmp_path / "plans.jsonl", "--audio-root", root,
+            "--gap-ms", 0, "--out-dir", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{root / 'b.wav'}: " in err and " chunk declares " in err
+        assert not (out / "concat_manifest.jsonl").exists()
+
     @pytest.mark.parametrize("gap", ["wide", 1.5, True, 1e999])
     def test_non_integer_gap_in_config_is_usage_error(
         self, toy_corpus, tmp_path, capsys, gap
@@ -1014,8 +1036,8 @@ class TestParser:
 
 @pytest.mark.parametrize("module", ["corpusforge", "corpusforge.cli"])
 def test_import_loads_only_the_standard_library(module):
-    # numpy is loaded only by the audio functions that use it, and the HTTP
-    # client only by `rechain llm`.
+    # numpy is no runtime dependency (the tests alone use it), and the HTTP
+    # client is loaded only by `rechain llm`.
     heavy = ["numpy", "requests", "urllib.request", "http.client"]
     src = str(Path(corpusforge.__file__).parents[1])
     code = (
@@ -1028,24 +1050,38 @@ def test_import_loads_only_the_standard_library(module):
     assert result.stdout.strip() == "[]"
 
 
-def test_eval_never_loads_numpy(tmp_path):
-    # Long hypotheses too: scoring needs numpy at no length.
+def test_concat_and_eval_never_load_numpy(toy_corpus, tmp_path):
+    # Both fade paths of concat, and long hypotheses in both eval modes.
     words = " ".join(f"w{i}" for i in range(40))
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(json.dumps(
         {"id": "p", "reference": words, "hypothesis": f"x {words} y"}
     ) + "\n")
+    plan = (("der", "der.wav"), ("hund", "hund.wav"), ("der", "der.wav"))
+    write_plans([SentencePlan(plan, "manual")], tmp_path / "plans.jsonl")
+    runs = [
+        ["concat", "--plan", tmp_path / "plans.jsonl", "--audio-root",
+         toy_corpus / "audio", "--fade-ms", fade, "--out-dir", tmp_path / f"f{fade}"]
+        for fade in (0, 5)
+    ] + [
+        ["eval", "--pairs", pairs, "--mode", mode, "--out-dir", tmp_path / mode]
+        for mode in ("wer", "cer")
+    ]
+    runs = [[str(arg) for arg in argv] for argv in runs]
     src = str(Path(corpusforge.__file__).parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); from corpusforge import cli\n"
-        f"codes = [cli.main(['eval', '--pairs', {str(pairs)!r}, '--mode', m,"
-        f" '--out-dir', {str(tmp_path)!r} + '/' + m]) for m in ('wer', 'cer')]\n"
+        f"import sys; sys.path.insert(0, {src!r}); import corpusforge\n"
+        "from corpusforge import cli\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
         "print(codes, 'numpy' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout.splitlines()[-1] == "[0, 0] False"
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+    assert (tmp_path / "f5" / "utt_0000.wav").read_bytes() == concat_oracle(
+        SentencePlan(plan, "manual"), toy_corpus / "audio", ConcatSpec(fade_ms=5)
+    )
 
 
 def _reads_text(call: ast.Call) -> bool:
