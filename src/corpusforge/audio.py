@@ -46,8 +46,9 @@ class UnsupportedWavError(AudioError):
 class AudioClip:
     """Mono 16-bit PCM samples at a fixed rate, at least one of them.
 
-    `samples` is any 1-D native-int16 buffer (``memoryview(samples).format
-    == "h"``): an ``array('h')``, a cast ``memoryview``, another int16 array.
+    `samples` is any 1-D, C-contiguous native-int16 buffer
+    (``memoryview(samples).format == "h"``): an ``array('h')``, a cast
+    ``memoryview``, another int16 array.
     """
 
     samples: memoryview | array
@@ -57,6 +58,9 @@ class AudioClip:
         view = memoryview(self.samples)
         if view.format != "h" or view.ndim != 1:
             raise AudioError("samples must be a 1-D buffer of int16")
+        if not view.c_contiguous:
+            # Joining and writing read the buffer as one block of bytes.
+            raise AudioError("samples must be a contiguous buffer, not a strided view")
         if not len(view):
             raise AudioError("a clip must hold at least one sample")
         if self.sample_rate <= 0:
@@ -204,18 +208,22 @@ def write_wav(clip: AudioClip, path: str | Path) -> None:
         f.write(_little_endian(clip.samples))
 
 
-def _fade(samples, fade: int):
-    """A copy of `samples` ramped linearly over its first and last `fade`.
+def _ramp(fade: int) -> list[float]:
+    """The gains of a linear fade over `fade` samples: ``k / fade``."""
+    return [k / fade for k in range(fade)]
 
-    The sample k from either edge becomes ``round(s * (k / fade))``.
+
+def _fade(samples, ramp: list[float]):
+    """A copy of `samples` ramped over its first and last ``len(ramp)``.
+
+    The sample k from either edge becomes ``round(s * ramp[k])``.
     """
-    if fade == 0:
+    if not ramp:
         return samples
     out = _copy(samples)
-    for k in range(fade):
-        ramp = k / fade
-        out[k] = round(out[k] * ramp)
-        out[-1 - k] = round(out[-1 - k] * ramp)
+    for k, gain in enumerate(ramp):
+        out[k] = round(out[k] * gain)
+        out[-1 - k] = round(out[-1 - k] * gain)
     return out
 
 
@@ -254,7 +262,8 @@ def concat(clips: Sequence[AudioClip], spec: ConcatSpec) -> AudioClip:
     resample.
     """
     rate, gap, fade = _layout(clips, spec)
-    pieces = [_fade(clip.samples, fade) for clip in clips]
+    ramp = _ramp(fade)
+    pieces = [_fade(clip.samples, ramp) for clip in clips]
     return AudioClip(_join(pieces, gap), rate)
 
 
@@ -271,19 +280,22 @@ def render(
     """
     root = Path(audio_root)
     faded: dict[str, AudioClip] = {}
+    ramps: dict[int, list[float]] = {}  # by fade length, one per sample rate
     for plan in plans:
         clips = []
         for _, ref in plan.words:
             clip = faded.get(ref)
             if clip is None:
-                clip = faded[ref] = _read_faded(root / ref, spec)
+                clip = faded[ref] = _read_faded(root / ref, spec, ramps)
             clips.append(clip)
         rate, gap, _ = _layout(clips, spec)
         _check_wav_size(sum(c.duration_samples for c in clips) + gap * (len(clips) - 1))
         yield AudioClip(_join([c.samples for c in clips], gap), rate)
 
 
-def _read_faded(path: Path, spec: ConcatSpec) -> AudioClip:
+def _read_faded(
+    path: Path, spec: ConcatSpec, ramps: dict[int, list[float]]
+) -> AudioClip:
     if not path.is_file():
         raise AudioError(f"recording not found: {path}")
     clip = read_wav(path)
@@ -291,4 +303,7 @@ def _read_faded(path: Path, spec: ConcatSpec) -> AudioClip:
     if fade > clip.duration_samples // 2:
         # Too short to fade: every plan that uses it fails _layout's check.
         return clip
-    return AudioClip(_fade(clip.samples, fade), clip.sample_rate)
+    ramp = ramps.get(fade)
+    if ramp is None:
+        ramp = ramps[fade] = _ramp(fade)
+    return AudioClip(_fade(clip.samples, ramp), clip.sample_rate)

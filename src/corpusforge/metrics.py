@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import CorpusForgeError
-from .textnorm import normalize_text
+from .textnorm import normalize_text, tokenize
 
 Mode = Literal["word", "char"]
 
@@ -63,11 +63,10 @@ def normalize(text: str, mode: Mode) -> list[str]:
     yields whitespace tokens, char mode yields the characters of the
     normalized string with single spaces preserved.
     """
-    cleaned = normalize_text(text)
     if mode == "word":
-        return cleaned.split()
+        return tokenize(text)
     if mode == "char":
-        return list(cleaned)
+        return list(normalize_text(text))
     raise ValueError(f"mode must be 'word' or 'char', got {mode!r}")
 
 
@@ -86,7 +85,26 @@ def edit_counts(
     substitution over insertion over deletion). It is never built: the
     walk reads each step's choice from the column deltas of
     :func:`_delta_columns`.
+
+    Only the core between the longest common prefix and the longest common
+    suffix (not overlapping it) is tabled, and the counts are those of the
+    full table. Where two tokens match, a cell equals its diagonal
+    neighbour, so the walk crosses the suffix on zero-cost diagonals. Past
+    the prefix, every cell of the full table equals the core's, so the walk
+    makes the same choices. Where it leaves the core, one side's remainder
+    is a prefix of the other's, and its edits are forced: all insertions
+    or all deletions, mixed only with zero-cost diagonals.
     """
+    n, m = len(reference), len(hypothesis)
+    start = 0
+    shorter = min(n, m)
+    while start < shorter and reference[start] == hypothesis[start]:
+        start += 1
+    end = 0
+    while end < shorter - start and reference[n - 1 - end] == hypothesis[m - 1 - end]:
+        end += 1
+    reference = reference[start : n - end]
+    hypothesis = hypothesis[start : m - end]
     columns = _delta_columns(reference, hypothesis)
     subs = dels = ins = 0
     i, j = len(reference), len(hypothesis)

@@ -12,8 +12,6 @@ import unicodedata
 # Punctuation stripped before tokenization; configurable is a later concern.
 PUNCTUATION = '.,!?;:"()'
 
-_PUNCT_TABLE = str.maketrans("", "", PUNCTUATION)
-
 
 def normalize_word(word: str) -> str:
     """Normalize a single orthographic word: NFC, trim, lowercase."""
@@ -22,12 +20,22 @@ def normalize_word(word: str) -> str:
     return word.strip().lower()
 
 
+def _clean(text: str) -> str:
+    """NFC, lowercase, punctuation removed; whitespace is left as it is."""
+    text = unicodedata.normalize("NFC", text).lower()
+    for mark in PUNCTUATION:
+        # One C-level scan per mark, and a copy only for a mark that occurs:
+        # str.translate would look up every character in a table instead.
+        if mark in text:
+            text = text.replace(mark, "")
+    return text
+
+
 def normalize_text(text: str) -> str:
     """Normalize running text: NFC, lowercase, strip punctuation, collapse whitespace."""
-    text = unicodedata.normalize("NFC", text).lower().translate(_PUNCT_TABLE)
-    return " ".join(text.split())
+    return " ".join(_clean(text).split())
 
 
 def tokenize(text: str) -> list[str]:
-    """Split normalized text into word tokens."""
-    return normalize_text(text).split()
+    """Split normalized text into word tokens: ``normalize_text(text).split()``."""
+    return _clean(text).split()

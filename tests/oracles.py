@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production code paths: the edit
 distance follows the textbook recursion, the weighted-selection oracle
-recomputes scores from scratch at every step, the maximum-coverage
+recomputes scores from scratch at every step, the text normalizer deletes
+punctuation through one ``str.translate`` table, the maximum-coverage
 reference tries every subset, the manifest loader reads rows through
 ``csv.DictReader`` and per-column dict lookups, the split and leakage
 audit group ``RecordingEntry`` rows by key tuples, the lexicon parser builds
@@ -48,7 +49,7 @@ from corpusforge.selector import (
     PhonemeWeights,
     SelectionError,
 )
-from corpusforge.textnorm import normalize_word
+from corpusforge.textnorm import PUNCTUATION, normalize_word
 
 
 def levenshtein_recursive(ref: Sequence[str], hyp: Sequence[str]) -> int:
@@ -64,6 +65,14 @@ def levenshtein_recursive(ref: Sequence[str], hyp: Sequence[str]) -> int:
         return min(d(i - 1, j - 1) + cost, d(i - 1, j) + 1, d(i, j - 1) + 1)
 
     return d(len(ref), len(hyp))
+
+
+def normalize_text_oracle(text: str) -> str:
+    """NFC, lowercase, every ``PUNCTUATION`` mark deleted by one
+    ``str.translate`` table, whitespace runs collapsed to one space."""
+    table = str.maketrans("", "", PUNCTUATION)
+    text = unicodedata.normalize("NFC", text).lower().translate(table)
+    return " ".join(text.split())
 
 
 def levenshtein_table_oracle(

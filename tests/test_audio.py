@@ -68,6 +68,11 @@ def test_clip_of_no_samples_is_error():
         AudioClip(samples=np.zeros(0, dtype=np.int16), sample_rate=16000)
 
 
+def test_strided_buffer_is_error():
+    with pytest.raises(AudioError, match="contiguous"):
+        AudioClip(samples=np.arange(10, dtype=np.int16)[::2], sample_rate=16000)
+
+
 def test_zero_sample_wav_is_error_naming_file(tmp_path):
     path = tmp_path / "empty.wav"
     path.write_bytes(wav_file_oracle([], 16000))
@@ -231,6 +236,21 @@ class TestConcat:
         assert out.samples[-1] < 200
         assert out.samples[500] == 10_000
 
+    def test_fade_matches_numpy_reference(self):
+        # At 1000 Hz a fade of f ms is f samples.
+        rng = np.random.default_rng(29)
+        for _ in range(3000):
+            n = int(rng.integers(1, 300))
+            fade = int(rng.integers(0, n // 2 + 1))
+            samples = rng.integers(-32768, 32768, n, dtype=np.int16)
+            want = samples.astype(np.float64)
+            gains = np.arange(fade) / fade
+            want[:fade] = np.round(want[:fade] * gains)
+            want[n - fade :] = np.round(want[n - fade :] * gains[::-1])
+            clip = AudioClip(samples=samples, sample_rate=1000)
+            out = concat([clip], ConcatSpec(gap_ms=0, fade_ms=fade))
+            assert bytes(out.samples) == want.astype(np.int16).tobytes()
+
     def test_fade_longer_than_half_shortest_clip_is_error(self):
         clip = tone_clip(440, 0.1, 1000)  # 100 samples
         with pytest.raises(AudioError, match="fade"):
@@ -252,26 +272,25 @@ def test_negative_gap_rejected():
         ConcatSpec(gap_ms=-1)
 
 
-# 2**31 samples with no memory behind them: one more than fits in a WAV file.
+# 2**31 samples: one more than fits in a WAV file. The clips below hold a
+# few samples and report a length of HUGE or HUGE // 2 to the size checks,
+# so no test here can fill 4 GiB.
 HUGE = 2**31
 
 
-def _zeros(n: int) -> np.ndarray:
-    return np.broadcast_to(np.zeros(1, dtype=np.int16), (n,))
-
-
-def test_write_wav_too_long_for_riff_is_error_naming_sample_count(tmp_path):
+def test_write_wav_too_long_for_riff_is_error_naming_sample_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(AudioClip, "duration_samples", HUGE)
     path = tmp_path / "long.wav"
     with pytest.raises(AudioError, match=f"^{HUGE} samples .*at most {HUGE - 19}"):
-        write_wav(AudioClip(samples=_zeros(HUGE), sample_rate=16000), path)
+        write_wav(tone_clip(440, 0.01), path)
     assert not path.exists()
 
 
 def test_render_too_long_for_riff_is_error_before_allocating(tmp_path, monkeypatch):
-    # The clip's samples are not contiguous, so joining them raises a
-    # TypeError instead of filling 4 GiB: the size check must come first.
-    half = AudioClip(samples=_zeros(HUGE // 2), sample_rate=16000)
+    monkeypatch.setattr(AudioClip, "duration_samples", HUGE // 2)
+    half = tone_clip(440, 0.01)
     monkeypatch.setattr(audio, "read_wav", lambda path: half)
+    monkeypatch.setattr(audio, "_join", lambda *args: pytest.fail("joined first"))
     (tmp_path / "a.wav").touch()
     plan = SentencePlan((("a", "a.wav"), ("a", "a.wav")), "manual")
     with pytest.raises(AudioError, match=f"^{HUGE} samples"):

@@ -13,11 +13,13 @@ from corpusforge.metrics import (
     edit_rate,
     normalize,
 )
+from corpusforge.textnorm import PUNCTUATION, normalize_text, tokenize
 
 from oracles import (
     edit_decomposition_oracle,
     levenshtein_recursive,
     levenshtein_table_oracle,
+    normalize_text_oracle,
 )
 
 
@@ -34,6 +36,23 @@ class TestNormalize:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             normalize("x", "phoneme")
+
+
+# Every mark stripped, decomposed letters that NFC composes, a capital whose
+# lowercase is two code points, and whitespace that str.split breaks on.
+_TEXT_PIECES = [
+    *PUNCTUATION, "a", "B", "ß", "e\u0301", "A\u0308", "\u0130", "'", "-",
+    " ", "  ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000",
+]
+
+
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=30).map("".join))
+def test_normalization_matches_oracle(text):
+    expected = normalize_text_oracle(text)
+    assert normalize_text(text) == expected
+    assert tokenize(text) == expected.split()
+    assert normalize(text, "word") == expected.split()
+    assert normalize(text, "char") == list(expected)
 
 
 class TestEditRate:
@@ -121,13 +140,22 @@ def test_edit_counts_match_oracle_and_bounds(ref, hyp):
 
 @st.composite
 def tie_heavy_pairs(draw):
-    """Token lists of 0-160 over a 2-4 symbol alphabet: many equal-cost paths."""
-    symbols = st.sampled_from("abcd"[: draw(st.integers(2, 4))])
-    ref_len, hyp_len = draw(st.integers(0, 160)), draw(st.integers(0, 160))
-    return (
-        draw(st.lists(symbols, min_size=ref_len, max_size=ref_len)),
-        draw(st.lists(symbols, min_size=hyp_len, max_size=hyp_len)),
-    )
+    """Cores of 0-160 tokens over a 2-4 symbol alphabet (many equal-cost
+    paths) inside a shared prefix and a shared suffix of 0-40 tokens.
+
+    Only the alphabet size and a seed are drawn; the lengths and tokens
+    come from the seeded generator. So the shrinker works on two integers
+    rather than on hundreds of list elements, and the lengths stay uniform
+    where drawn ones would crowd near 0.
+    """
+    alphabet = "abcd"[: draw(st.integers(2, 4))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def tokens(most):
+        return rng.choices(alphabet, k=rng.randint(0, most))
+
+    prefix, suffix = tokens(40), tokens(40)
+    return prefix + tokens(160) + suffix, prefix + tokens(160) + suffix
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,7 +168,9 @@ def test_decomposition_matches_full_table_oracle(pair):
 def _cases():
     """Fixed pairs: empty sides, lengths that cross int size boundaries
     (63, 64, 65 and 130 tokens), hypothesis tokens absent from the
-    reference, all-equal and all-different sequences."""
+    reference, all-equal and all-different sequences, long shared prefixes
+    and suffixes, identical pairs, and one side a prefix or suffix of the
+    other."""
     rng = random.Random(22)
 
     def tokens(n, alphabet="ab"):
@@ -158,6 +188,15 @@ def _cases():
         yield ["a"] * n, ["a"] * (n + 1)
         yield [f"r{i}" for i in range(n)], [f"h{i}" for i in range(n)]
         yield [f"t{i}" for i in range(n)], [f"t{i}" for i in range(n)][::-1]
+    shared = tokens(100)
+    yield shared + tokens(12), shared + tokens(9)
+    yield tokens(12) + shared, tokens(9) + shared
+    yield shared + tokens(20, "abc") + shared, shared + tokens(25, "abc") + shared
+    yield shared, list(shared)
+    yield shared[:40], shared
+    yield shared, shared[:40]
+    yield shared[60:], shared
+    yield shared, shared[60:]
     yield list("kitten"), list("sitting")
     yield list("abc"), list("xyz")
 
